@@ -1,10 +1,10 @@
-//! EXP-ARENA — planned arena executor vs. the legacy per-run allocator.
+//! EXP-ARENA — the arena-reuse plan vs. the no-reuse plan, on one executor.
 //!
 //! Three variants per model, all single-thread under the Orpheus
 //! personality:
 //!
-//! * `legacy`  — `Network::run_unplanned`: fresh activation `Vec`s every
-//!   layer, freed by liveness as the run proceeds (the pre-plan executor).
+//! * `no-reuse` — one held `Network::no_reuse_session`: every slot owns its
+//!   own buffer and view steps copy, so the arena is the sum of all values.
 //! * `oneshot` — `Network::run`: a throwaway `Session` per call, so each
 //!   run pays arena construction once (the convenience-API cost).
 //! * `session` — one held `Session`: the steady-state path, zero activation
@@ -21,8 +21,12 @@ fn session_arena(c: &mut Criterion) {
     group.sample_size(10);
     for model in [ModelKind::TinyCnn, ModelKind::LeNet5, ModelKind::Wrn40_2] {
         let (network, input) = load_network(Personality::Orpheus, model, 1);
-        group.bench_function(format!("{}/legacy", model.name()), |b| {
-            b.iter(|| black_box(network.run_unplanned(&input).expect("inference succeeds")))
+        let mut no_reuse = network.no_reuse_session();
+        group.bench_function(format!("{}/no-reuse", model.name()), |b| {
+            b.iter(|| {
+                let out = no_reuse.run(&input).expect("inference succeeds");
+                black_box(out.as_slice()[0])
+            })
         });
         group.bench_function(format!("{}/oneshot", model.name()), |b| {
             b.iter(|| black_box(network.run(&input).expect("inference succeeds")))

@@ -18,9 +18,11 @@
 //!
 //! ## Safety
 //!
-//! This is the only crate in the workspace that contains `unsafe` code
-//! (every other crate carries `#![forbid(unsafe_code)]`), and all of it is
-//! FFI pointer handling at the boundary. The contract, uniform across entry
+//! This crate and `orpheus-gemm::simd` (the AVX2+FMA micro-kernel, opted in
+//! with a module-level `#[allow(unsafe_code)]`) are the only places in the
+//! workspace with `unsafe` code; every other crate carries
+//! `#![forbid(unsafe_code)]`. Here all of it is FFI pointer handling at the
+//! boundary. The contract, uniform across entry
 //! points and repeated in each function's `# Safety` section:
 //!
 //! * Handle pointers (`*mut OrpheusEngine`, `*mut OrpheusNetwork`) must be

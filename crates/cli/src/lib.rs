@@ -19,7 +19,7 @@ pub use bench::{
 
 use std::time::Instant;
 
-use orpheus::{Engine, EngineError, Personality, CAPABILITY_CRITERIA};
+use orpheus::{Engine, EngineError, MemoryStats, Personality, CAPABILITY_CRITERIA};
 use orpheus_models::{build_model_with_input, ModelKind};
 use orpheus_tensor::Tensor;
 
@@ -926,7 +926,7 @@ pub fn run_traced_profile(
     let dims = [1, model.input_dims()[1], input_hw, input_hw];
     let input = Tensor::full(&dims, 0.5);
     let runs = runs.max(1);
-    let (outcome, trace, metrics) = with_recording(|| -> Result<(), EngineError> {
+    let (outcome, trace, metrics) = with_recording(|| -> Result<MemoryStats, EngineError> {
         let network = engine.load_onnx(&bytes)?;
         // One session across all runs, mirroring a deployed steady state.
         // Warm-up is invisible to the recorder: only steady-state runs land
@@ -939,9 +939,12 @@ pub fn run_traced_profile(
         for _ in 0..runs {
             session.run(&input)?;
         }
-        Ok(())
+        Ok(network
+            .memory_plan()
+            .map(orpheus::MemoryPlan::stats)
+            .unwrap_or_default())
     });
-    outcome?;
+    let memory = outcome?;
     let latency = metrics
         .histograms
         .get("run.latency_us")
@@ -956,8 +959,9 @@ pub fn run_traced_profile(
             p99_us: 0,
         });
     // The per-layer table describes ONE pass over the network, so rebuild it
-    // from the first timed run's subtree only.
-    let profile = match trace.by_category("session").find(|s| s.name == "run") {
+    // from the first timed run's subtree only; the trace cannot carry memory
+    // statistics, so they come from the network's memory plan.
+    let mut profile = match trace.by_category("session").find(|s| s.name == "run") {
         Some(run) => {
             let spans = trace
                 .spans
@@ -969,6 +973,7 @@ pub fn run_traced_profile(
         }
         None => orpheus::Profile::from_trace(&trace),
     };
+    profile.memory = memory;
     Ok(TraceReport {
         trace,
         metrics,
@@ -982,10 +987,11 @@ pub fn run_traced_profile(
 /// a local [`Histogram`](orpheus_observe::Histogram) rather than the global
 /// recorder, so it composes with any concurrent recording.
 ///
-/// By default the timed loop reuses one [`orpheus::Session`], so it measures
-/// the zero-allocation arena executor. With `legacy` set it measures the
-/// per-run allocating executor instead (`Network::run_unplanned`) — the
-/// pair is the session-vs-legacy smoke comparison `scripts/check.sh` runs.
+/// The timed loop reuses one [`orpheus::Session`], so it measures the
+/// zero-allocation arena executor. With `no_reuse` set the session runs the
+/// no-reuse memory plan instead (`Network::no_reuse_session`: one buffer per
+/// slot, no view moves) — the pair is the session-vs-no-reuse smoke
+/// comparison `scripts/check.sh` runs.
 ///
 /// # Errors
 ///
@@ -997,7 +1003,7 @@ pub fn run_repeat(
     threads: usize,
     runs: usize,
     warmup: usize,
-    legacy: bool,
+    no_reuse: bool,
 ) -> Result<LatencyStats, EngineError> {
     let engine = Engine::builder()
         .personality(personality)
@@ -1008,25 +1014,18 @@ pub fn run_repeat(
     let dims = [1, model.input_dims()[1], input_hw, input_hw];
     let input = Tensor::full(&dims, 0.5);
     let mut histogram = orpheus_observe::Histogram::default();
-    if legacy {
-        for _ in 0..warmup {
-            network.run_unplanned(&input)?;
-        }
-        for _ in 0..runs.max(1) {
-            let start = Instant::now();
-            network.run_unplanned(&input)?;
-            histogram.record(start.elapsed().as_micros() as u64);
-        }
+    let mut session = if no_reuse {
+        network.no_reuse_session()
     } else {
-        let mut session = network.session();
-        for _ in 0..warmup {
-            session.run(&input)?;
-        }
-        for _ in 0..runs.max(1) {
-            let start = Instant::now();
-            session.run(&input)?;
-            histogram.record(start.elapsed().as_micros() as u64);
-        }
+        network.session()
+    };
+    for _ in 0..warmup {
+        session.run(&input)?;
+    }
+    for _ in 0..runs.max(1) {
+        let start = Instant::now();
+        session.run(&input)?;
+        histogram.record(start.elapsed().as_micros() as u64);
     }
     Ok(LatencyStats::from_histogram(&histogram))
 }
@@ -1250,7 +1249,31 @@ mod observe_tests {
     }
 
     #[test]
-    fn repeat_legacy_mode_uses_unplanned_executor() {
+    fn traced_profile_reports_the_planned_arena_as_peak_memory() {
+        let _serial = lock();
+        let report = run_traced_profile(Personality::Orpheus, ModelKind::TinyCnn, 8, 1, 1).unwrap();
+        let network = Engine::builder()
+            .build()
+            .unwrap()
+            .load(build_model_with_input(ModelKind::TinyCnn, 8, 8))
+            .unwrap();
+        let plan = network.memory_plan().expect("load attaches a memory plan");
+        assert_eq!(report.profile.memory.peak_bytes, plan.arena_bytes());
+        assert!(report.profile.memory.peak_bytes > 0);
+        let line = report
+            .profile
+            .render()
+            .lines()
+            .find(|l| l.contains("peak activation memory"))
+            .expect("render prints the memory line")
+            .to_string();
+        assert!(!line.ends_with("memory 0 B"), "{line}");
+        let planned = orpheus_verify::dataflow::human_bytes(plan.arena_bytes());
+        assert!(line.ends_with(&planned), "{line}");
+    }
+
+    #[test]
+    fn repeat_no_reuse_mode_runs_the_no_reuse_session() {
         let stats = run_repeat(Personality::Orpheus, ModelKind::TinyCnn, 8, 1, 3, 1, true).unwrap();
         assert_eq!(stats.runs, 3);
         assert!(stats.min_us > 0);

@@ -1,7 +1,6 @@
 //! The engine (model loading) and network (execution) types.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use orpheus_graph::{passes::PassManager, Graph};
 use orpheus_observe as observe;
@@ -12,10 +11,9 @@ use orpheus_threads::ThreadPool;
 use crate::error::EngineError;
 use crate::fault::FaultMode;
 use crate::lower::{lower, Plan};
-use crate::memory::MemoryTracker;
 use crate::personality::{Personality, ThreadPolicy};
 use crate::plan::{plan_memory, MemoryPlan};
-use crate::profile::{LayerTiming, Profile};
+use crate::profile::Profile;
 use crate::selection::SelectionPolicy;
 use crate::session::Session;
 
@@ -328,7 +326,7 @@ impl Engine {
         let bucket_memory: Vec<MemoryPlan> = plan
             .buckets
             .iter()
-            .map(|bucket| crate::plan::plan_memory_with(&plan, &bucket.slot_dims))
+            .map(|bucket| crate::plan::plan_memory_with(&plan, &bucket.slot_dims, true))
             .collect();
         for (bucket, memory) in plan.buckets.iter_mut().zip(bucket_memory) {
             bucket.memory = Some(memory);
@@ -343,7 +341,7 @@ impl Engine {
         // test-support corruption hook forges a bad plan description and
         // forces the check on, proving rejection attributes bucket + code.
         if cfg!(debug_assertions) || self.plan_corruption.is_some() {
-            let mut spec = crate::plan::plan_spec(&graph.name, &plan);
+            let mut spec = crate::plan::plan_spec(&graph.name, &plan, true);
             if let Some((corruption, bucket)) = self.plan_corruption {
                 orpheus_verify::corrupt_plan(&mut spec, corruption, bucket);
             }
@@ -498,19 +496,14 @@ impl Network {
     /// this as a sanitizer at load, so a loaded network verifies clean
     /// there by construction.
     pub fn check_plan(&self) -> orpheus_verify::PlanCheckReport {
-        orpheus_verify::check_plan(&crate::plan::plan_spec(&self.name, &self.plan))
+        orpheus_verify::check_plan(&crate::plan::plan_spec(&self.name, &self.plan, true))
     }
 
     /// Creates a reusable execution session with its own preallocated
     /// activation arena. Hold one session across repeated inferences for
     /// zero steady-state activation allocations.
     pub fn session(&self) -> Session {
-        Session::new(
-            Arc::clone(&self.plan),
-            self.pool.clone(),
-            self.name.clone(),
-            false,
-        )
+        self.new_session(false, true)
     }
 
     /// Creates a session that routes every layer with a reference fallback
@@ -522,11 +515,29 @@ impl Network {
     /// trips to: slower, but immune to faults confined to the optimized
     /// implementations. It shares the load-time plan — no replanning.
     pub fn reference_session(&self) -> Session {
+        self.new_session(true, true)
+    }
+
+    /// Creates a session over the *no-reuse* memory plan: every slot owns a
+    /// buffer of its own and view steps copy instead of moving, on the same
+    /// executor and liveness schedule as [`Network::session`].
+    ///
+    /// Not part of the public run surface: this is the differential oracle
+    /// that arena reuse is proven bit-identical against, and the baseline of
+    /// `orpheus-cli repeat --no-reuse`. The no-reuse plans are built on the
+    /// first call and shared by later ones.
+    #[doc(hidden)]
+    pub fn no_reuse_session(&self) -> Session {
+        self.new_session(false, false)
+    }
+
+    fn new_session(&self, prefer_reference: bool, reuse: bool) -> Session {
         Session::new(
             Arc::clone(&self.plan),
             self.pool.clone(),
             self.name.clone(),
-            true,
+            prefer_reference,
+            reuse,
         )
     }
 
@@ -554,145 +565,15 @@ impl Network {
         self.session().run_batch(inputs)
     }
 
-    /// Runs one inference on the legacy per-run-allocating executor.
-    ///
-    /// Not part of the public 0.3.0 run surface ([`Session::run`],
-    /// [`Session::run_batch`], [`Session::run_into`] and their [`Network`]
-    /// wrappers): this is the differential-test reference path — the
-    /// executor the profiler instruments and the oracle the planned arena
-    /// path is proven bit-identical against. It only accepts the base-batch
-    /// input shape.
-    ///
-    /// # Errors
-    ///
-    /// See [`Network::run`].
-    #[doc(hidden)]
-    pub fn run_unplanned(&self, input: &Tensor) -> Result<Tensor, EngineError> {
-        self.execute(input, false).map(|(t, _)| t)
-    }
-
-    /// Runs one inference, returning per-layer timings and memory stats.
+    /// Runs one inference on a fresh session, returning per-layer timings
+    /// (one row per plan step, view moves included) and the memory
+    /// statistics of the bucket the input ran in.
     ///
     /// # Errors
     ///
     /// See [`Network::run`].
     pub fn run_profiled(&self, input: &Tensor) -> Result<(Tensor, Profile), EngineError> {
-        let (out, profile) = self.execute(input, true)?;
-        Ok((out, profile.expect("profiled run returns a profile")))
-    }
-
-    fn execute(
-        &self,
-        input: &Tensor,
-        profiled: bool,
-    ) -> Result<(Tensor, Option<Profile>), EngineError> {
-        if input.dims() != self.plan.input_dims {
-            // Same error taxonomy as the session surface: one message shape
-            // for every run entry point (see `Plan::dims_error`).
-            return Err(self.plan.dims_error(input.dims()));
-        }
-        let mut run_span = observe::span("run", "engine");
-        run_span.attr("model", self.name.as_str());
-        let start = Instant::now();
-        let mut slots: Vec<Option<Tensor>> = (0..self.plan.num_slots).map(|_| None).collect();
-        let mut tracker = MemoryTracker::new();
-        tracker.allocate(input.len() * 4);
-        slots[self.plan.input_slot] = Some(input.clone());
-        let mut timings = if profiled {
-            Vec::with_capacity(self.plan.steps.len())
-        } else {
-            Vec::new()
-        };
-
-        for (step_idx, step) in self.plan.steps.iter().enumerate() {
-            let inputs: Vec<&Tensor> = step
-                .inputs
-                .iter()
-                .map(|&s| {
-                    slots[s].as_ref().ok_or_else(|| {
-                        EngineError::Execution(format!(
-                            "layer {:?} reads slot {s} before it is produced",
-                            step.layer.name()
-                        ))
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            let mut layer_span = observe::span(step.layer.name(), "layer");
-            layer_span.attr("op", step.layer.op_name());
-            layer_span.attr("implementation", step.layer.implementation());
-            layer_span.attr("flops", step.layer.flops());
-            let layer_start = Instant::now();
-            let output = match step.layer.run(&inputs, &self.pool) {
-                Ok(out) => out,
-                Err(primary) => {
-                    // Graceful degradation: rebuild the layer on its
-                    // reference implementation and retry once. The original
-                    // error wins if even the reference path cannot run.
-                    let Some(fallback) = step.layer.reference_fallback() else {
-                        observe::flight_record(
-                            "selection",
-                            "fault.unrecoverable",
-                            format!("{}: {primary}", step.layer.name()),
-                        );
-                        return Err(primary);
-                    };
-                    let Ok(out) = fallback.run(&inputs, &self.pool) else {
-                        observe::flight_record(
-                            "selection",
-                            "fallback.failed",
-                            format!("{}: {primary}", step.layer.name()),
-                        );
-                        return Err(primary);
-                    };
-                    layer_span.attr("fallback", fallback.implementation());
-                    observe::counter_add("selection.fallback", 1);
-                    observe::flight_record(
-                        "selection",
-                        "fallback",
-                        format!(
-                            "{}: rescued by {} after: {primary}",
-                            step.layer.name(),
-                            fallback.implementation()
-                        ),
-                    );
-                    out
-                }
-            };
-            drop(layer_span);
-            if profiled {
-                timings.push(LayerTiming {
-                    name: step.layer.name().to_string(),
-                    op: step.layer.op_name().to_string(),
-                    implementation: step.layer.implementation(),
-                    duration: layer_start.elapsed(),
-                    flops: step.layer.flops(),
-                });
-            }
-            tracker.allocate(output.len() * 4);
-            slots[step.output] = Some(output);
-            // Liveness-driven reclamation: free every slot whose final
-            // consumer was this step.
-            for (slot_idx, &last) in self.plan.last_use.iter().enumerate() {
-                if last == step_idx && slot_idx != self.plan.output_slot {
-                    if let Some(t) = slots[slot_idx].take() {
-                        tracker.free_early(t.len() * 4);
-                    }
-                }
-            }
-        }
-
-        let output = slots[self.plan.output_slot]
-            .take()
-            .ok_or_else(|| EngineError::Execution("output slot empty after run".into()))?;
-        let total = start.elapsed();
-        observe::histogram_record("run.latency_us", total.as_micros() as u64);
-        drop(run_span);
-        let profile = profiled.then(|| Profile {
-            timings,
-            total,
-            memory: tracker.finish(),
-        });
-        Ok((output, profile))
+        self.session().run_profiled(input)
     }
 }
 
@@ -1088,14 +969,78 @@ mod tests {
         let input = Tensor::from_fn(&[1, 3, 8, 8], |i| ((i * 11) % 17) as f32 * 0.07);
         let network = Engine::builder().build().unwrap().load(graph).unwrap();
         let planned = network.run(&input).unwrap();
-        let unplanned = network.run_unplanned(&input).unwrap();
-        assert_eq!(planned.as_slice(), unplanned.as_slice());
+        let mut oracle = network.no_reuse_session();
+        let no_reuse = oracle.run(&input).unwrap();
+        assert_eq!(planned.as_slice(), no_reuse.as_slice());
+        // The oracle really runs without reuse: one buffer per slot.
+        assert!(oracle.arena_bytes() > network.session().arena_bytes());
+    }
+
+    #[test]
+    fn no_reuse_plans_are_sound_across_zoo_and_ladder() {
+        use orpheus_models::build_model_with_input;
+        for model in [
+            ModelKind::TinyCnn,
+            ModelKind::LeNet5,
+            ModelKind::Wrn40_2,
+            ModelKind::MobileNetV1,
+            ModelKind::ResNet18,
+            ModelKind::ResNet50,
+            ModelKind::InceptionV3,
+        ] {
+            let hw = model.min_input_hw();
+            let network = Engine::builder()
+                .max_batch(8)
+                .build()
+                .unwrap()
+                .load(build_model_with_input(model, hw, hw))
+                .unwrap();
+            let plan = &network.plan;
+            assert_eq!(network.batch_buckets(), vec![1, 2, 4, 8], "{model}");
+            for idx in 0..plan.buckets.len() {
+                let mp = plan.bucket_memory(idx, false);
+                assert_eq!(mp.num_buffers(), plan.num_slots, "{model} bucket {idx}");
+                assert_eq!(mp.aliased_views(), 0, "{model} bucket {idx}");
+            }
+            let report =
+                orpheus_verify::check_plan(&crate::plan::plan_spec(&network.name, plan, false));
+            assert_eq!(report.buckets.len(), 4, "{model}");
+            for bucket in &report.buckets {
+                assert!(
+                    bucket.diagnostics.is_empty(),
+                    "{model} bucket {}: {:?}",
+                    bucket.batch,
+                    bucket.diagnostics
+                );
+            }
+            assert!(report.ladder.is_empty(), "{model}: {:?}", report.ladder);
+        }
+    }
+
+    #[test]
+    fn profiled_memory_matches_the_active_bucket_plan() {
+        let network = Engine::builder()
+            .max_batch(4)
+            .build()
+            .unwrap()
+            .load(build_model(ModelKind::TinyCnn))
+            .unwrap();
+        let plans = network.bucket_memory_plans();
+        for (input, (_, plan)) in [[1, 3, 8, 8], [2, 3, 8, 8], [3, 3, 8, 8]]
+            .iter()
+            .zip([plans[0], plans[1], plans[2]])
+        {
+            let (out, profile) = network.run_profiled(&Tensor::ones(input)).unwrap();
+            assert_eq!(out.dims()[0], input[0]);
+            assert_eq!(profile.memory, plan.stats());
+            assert_eq!(profile.timings.len(), network.num_layers());
+        }
     }
 
     #[test]
     fn fault_injection_runs_through_session_fallback() {
-        // The arena executor must take the same graceful-degradation path
-        // as the legacy executor when a layer faults.
+        // The session executor takes the graceful-degradation path when a
+        // layer faults.
         let graph = build_model(ModelKind::TinyCnn);
         let input = Tensor::from_fn(&[1, 3, 8, 8], |i| ((i * 3) % 7) as f32 * 0.1);
         let expected = Engine::builder()

@@ -1,6 +1,6 @@
 //! Deterministic fault injection for robustness drills.
 //!
-//! [`FaultyLayer`] wraps a real layer and fails `run` according to a
+//! [`FaultyLayer`] wraps a real layer and fails `run_into` according to a
 //! configured [`FaultMode`], while passing [`Layer::reference_fallback`]
 //! through to the wrapped layer. Loading a model with
 //! [`EngineBuilder::fault_injection`](crate::EngineBuilder::fault_injection)
@@ -24,7 +24,7 @@ use orpheus_threads::ThreadPool;
 use crate::error::EngineError;
 use crate::layer::Layer;
 
-/// How an injected fault manifests at `run` time.
+/// How an injected fault manifests at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultMode {
     /// Every run returns an [`EngineError`] (the default). Exercises the
@@ -49,7 +49,7 @@ pub enum FaultMode {
     },
 }
 
-/// What one `run` invocation should do.
+/// What one `run_into` invocation should do.
 enum Verdict {
     Proceed,
     Fail,
@@ -63,7 +63,7 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A layer whose selected implementation fails at `run` time per the
+/// A layer whose selected implementation fails at run time per the
 /// configured [`FaultMode`].
 #[derive(Debug)]
 pub(crate) struct FaultyLayer {
@@ -146,10 +146,6 @@ impl Layer for FaultyLayer {
     fn implementation(&self) -> String {
         format!("faulty({})", self.inner.implementation())
     }
-    fn run(&self, inputs: &[&Tensor], pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        self.gate()?;
-        self.inner.run(inputs, pool)
-    }
     fn run_into(
         &self,
         inputs: &[&Tensor],
@@ -170,6 +166,7 @@ impl Layer for FaultyLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::run_to;
     use crate::layers::native::ActivationLayer;
     use orpheus_ops::activation::Activation;
 
@@ -184,7 +181,7 @@ mod tests {
         assert_eq!(layer.op_name(), "Activation");
         assert!(layer.implementation().starts_with("faulty("));
         let t = Tensor::ones(&[2]);
-        let err = layer.run(&[&t], &ThreadPool::single()).unwrap_err();
+        let err = run_to(&layer, &[&t], &[2]).unwrap_err();
         assert!(err.to_string().contains("injected fault"));
         // An activation layer has no reference twin to fall back to.
         assert!(layer.reference_fallback().is_none());
@@ -195,7 +192,7 @@ mod tests {
         let layer = FaultyLayer::new(relu(), FaultMode::Panic);
         let t = Tensor::ones(&[2]);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = layer.run(&[&t], &ThreadPool::single());
+            let _ = run_to(&layer, &[&t], &[2]);
         }));
         assert!(caught.is_err(), "panic mode must unwind");
     }
@@ -204,20 +201,19 @@ mod tests {
     fn panic_first_recovers_after_n_calls() {
         let layer = FaultyLayer::new(relu(), FaultMode::PanicFirst(2));
         let t = Tensor::ones(&[2]);
-        let pool = ThreadPool::single();
         for _ in 0..2 {
-            let caught =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| layer.run(&[&t], &pool)));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_to(&layer, &[&t], &[2])
+            }));
             assert!(caught.is_err());
         }
         // Third call runs the wrapped layer for real.
-        assert!(layer.run(&[&t], &pool).is_ok());
+        assert!(run_to(&layer, &[&t], &[2]).is_ok());
     }
 
     #[test]
     fn flaky_mode_is_deterministic_and_mixed() {
         let t = Tensor::ones(&[2]);
-        let pool = ThreadPool::single();
         let outcomes = |seed: u64| -> Vec<u8> {
             let layer = FaultyLayer::new(
                 relu(),
@@ -229,7 +225,7 @@ mod tests {
             (0..64)
                 .map(|_| {
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        layer.run(&[&t], &pool).is_ok()
+                        run_to(&layer, &[&t], &[2]).is_ok()
                     })) {
                         Ok(true) => 0,
                         Ok(false) => 1,

@@ -26,23 +26,12 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// e.g. `"im2col-gemm(packed)"` or `"vendor:vnnl"`.
     fn implementation(&self) -> String;
 
-    /// Executes the layer.
+    /// Executes the layer into a preallocated output tensor of the planned
+    /// output dims — the one layer entry point. The session executor calls
+    /// this so inference writes into recycled arena buffers.
     ///
     /// `inputs` are the activation tensors in graph-input order (weights are
     /// layer state, not inputs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] when input shapes do not match the layer.
-    fn run(&self, inputs: &[&Tensor], pool: &ThreadPool) -> Result<Tensor, EngineError>;
-
-    /// Executes the layer into a preallocated output tensor of the planned
-    /// output dims.
-    ///
-    /// The arena executor calls this so steady-state inference writes into
-    /// recycled buffers. The default delegates to [`Layer::run`] and copies
-    /// the result (allocating); layers on the hot path override it to write
-    /// in place.
     ///
     /// # Errors
     ///
@@ -53,19 +42,7 @@ pub trait Layer: fmt::Debug + Send + Sync {
         inputs: &[&Tensor],
         output: &mut Tensor,
         pool: &ThreadPool,
-    ) -> Result<(), EngineError> {
-        let result = self.run(inputs, pool)?;
-        if result.dims() != output.dims() {
-            return Err(EngineError::Execution(format!(
-                "layer {:?} produced dims {:?} but the plan expects {:?}",
-                self.name(),
-                result.dims(),
-                output.dims()
-            )));
-        }
-        output.as_mut_slice().copy_from_slice(result.as_slice());
-        Ok(())
-    }
+    ) -> Result<(), EngineError>;
 
     /// Floating-point operations per invocation (0 when unknown or
     /// negligible); used by the profiler to report effective GFLOP/s.
@@ -77,7 +54,7 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// implementation fails at execution time, or `None` when the layer has
     /// no slower-but-safer twin (or already *is* the reference).
     ///
-    /// The executor calls this lazily — only after a `run` failure — so
+    /// The executor calls this lazily — only after a `run_into` failure — so
     /// supporting graceful degradation costs no memory on the happy path.
     fn reference_fallback(&self) -> Option<Box<dyn Layer>> {
         None
@@ -117,6 +94,19 @@ pub(crate) fn expect_inputs<'a>(
     Ok(inputs)
 }
 
+/// Test support: runs `layer` single-threaded into a fresh zeroed output
+/// of `dims`.
+#[cfg(test)]
+pub(crate) fn run_to(
+    layer: &dyn Layer,
+    inputs: &[&Tensor],
+    dims: &[usize],
+) -> Result<Tensor, EngineError> {
+    let mut out = Tensor::zeros(dims);
+    layer.run_into(inputs, &mut out, &ThreadPool::single())?;
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,9 +123,16 @@ mod tests {
         fn implementation(&self) -> String {
             "map".into()
         }
-        fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
+        fn run_into(
+            &self,
+            inputs: &[&Tensor],
+            output: &mut Tensor,
+            _pool: &ThreadPool,
+        ) -> Result<(), EngineError> {
             let inputs = expect_inputs(self.name(), inputs, 1)?;
-            Ok(inputs[0].map(|x| x * 2.0))
+            copy_data_into(self.name(), inputs[0], output)?;
+            output.as_mut_slice().iter_mut().for_each(|x| *x *= 2.0);
+            Ok(())
         }
     }
 
@@ -143,16 +140,21 @@ mod tests {
     fn layer_trait_is_object_safe() {
         let layer: Box<dyn Layer> = Box::new(Doubler);
         let t = Tensor::ones(&[2]);
-        let out = layer.run(&[&t], &ThreadPool::single()).unwrap();
+        let out = run_to(layer.as_ref(), &[&t], &[2]).unwrap();
         assert_eq!(out.as_slice(), &[2.0, 2.0]);
         assert_eq!(layer.flops(), 0);
     }
 
     #[test]
     fn arity_checked() {
-        let layer = Doubler;
         let t = Tensor::ones(&[1]);
-        assert!(layer.run(&[&t, &t], &ThreadPool::single()).is_err());
-        assert!(layer.run(&[], &ThreadPool::single()).is_err());
+        assert!(run_to(&Doubler, &[&t, &t], &[1]).is_err());
+        assert!(run_to(&Doubler, &[], &[1]).is_err());
+    }
+
+    #[test]
+    fn copy_rejects_element_count_mismatch() {
+        let t = Tensor::ones(&[2]);
+        assert!(run_to(&Doubler, &[&t], &[3]).is_err());
     }
 }

@@ -2,15 +2,15 @@
 
 use orpheus_gemm::GemmKernel;
 use orpheus_ops::activation::Activation;
-use orpheus_ops::concat::{concat_channels, concat_channels_into};
+use orpheus_ops::concat::concat_channels_into;
 use orpheus_ops::conv::{Conv2d, Conv2dParams, ConvAlgorithm};
 use orpheus_ops::dense::{Dense, DenseAlgorithm};
-use orpheus_ops::elementwise::{add_activate, add_activate_into, binary, binary_into, BinaryOp};
+use orpheus_ops::elementwise::{add_activate_into, binary_into, BinaryOp};
 use orpheus_ops::norm::BatchNorm;
-use orpheus_ops::pool::{
-    global_average_pool, global_average_pool_into, pool2d, pool2d_into, Pool2dParams,
-};
-use orpheus_ops::softmax::{softmax, softmax_into};
+use orpheus_ops::pad::pad_constant_into;
+use orpheus_ops::pool::{global_average_pool_into, pool2d_into, Pool2dParams};
+use orpheus_ops::reduce::reduce_mean_into;
+use orpheus_ops::softmax::softmax_into;
 use orpheus_tensor::Tensor;
 use orpheus_threads::ThreadPool;
 
@@ -77,10 +77,6 @@ impl Layer for ConvLayer {
     }
     fn implementation(&self) -> String {
         self.conv.algorithm().to_string()
-    }
-    fn run(&self, inputs: &[&Tensor], pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(self.conv.run(inputs[0], pool)?)
     }
     fn run_into(
         &self,
@@ -163,10 +159,6 @@ impl Layer for DenseLayer {
     fn implementation(&self) -> String {
         "gemm".into()
     }
-    fn run(&self, inputs: &[&Tensor], pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(self.dense.run(inputs[0], pool)?)
-    }
     fn run_into(
         &self,
         inputs: &[&Tensor],
@@ -208,10 +200,6 @@ impl Layer for PoolLayer {
     fn implementation(&self) -> String {
         format!("{:?}", self.params.mode).to_lowercase()
     }
-    fn run(&self, inputs: &[&Tensor], pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(pool2d(&self.params, inputs[0], pool)?)
-    }
     fn run_into(
         &self,
         inputs: &[&Tensor],
@@ -247,10 +235,6 @@ impl Layer for GlobalPoolLayer {
     }
     fn implementation(&self) -> String {
         "direct".into()
-    }
-    fn run(&self, inputs: &[&Tensor], pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(global_average_pool(inputs[0], pool)?)
     }
     fn run_into(
         &self,
@@ -301,10 +285,6 @@ impl Layer for BatchNormLayer {
     fn implementation(&self) -> String {
         "affine".into()
     }
-    fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(self.bn.run(inputs[0])?)
-    }
     fn run_into(
         &self,
         inputs: &[&Tensor],
@@ -342,10 +322,6 @@ impl Layer for ActivationLayer {
     }
     fn implementation(&self) -> String {
         format!("{:?}", self.activation).to_lowercase()
-    }
-    fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(self.activation.run(inputs[0]))
     }
     fn run_into(
         &self,
@@ -390,13 +366,6 @@ impl Layer for AddLayer {
             None => "elementwise".into(),
         }
     }
-    fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 2)?;
-        match self.activation {
-            Some(act) => Ok(add_activate(inputs[0], inputs[1], act)?),
-            None => Ok(binary(BinaryOp::Add, inputs[0], inputs[1])?),
-        }
-    }
     fn run_into(
         &self,
         inputs: &[&Tensor],
@@ -436,10 +405,6 @@ impl Layer for MulLayer {
     fn implementation(&self) -> String {
         "elementwise".into()
     }
-    fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 2)?;
-        Ok(binary(BinaryOp::Mul, inputs[0], inputs[1])?)
-    }
     fn run_into(
         &self,
         inputs: &[&Tensor],
@@ -478,10 +443,6 @@ impl Layer for ConcatLayer {
     fn implementation(&self) -> String {
         "memcpy".into()
     }
-    fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, self.arity)?;
-        Ok(concat_channels(inputs)?)
-    }
     fn run_into(
         &self,
         inputs: &[&Tensor],
@@ -517,10 +478,6 @@ impl Layer for SoftmaxLayer {
     }
     fn implementation(&self) -> String {
         "stable".into()
-    }
-    fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(softmax(inputs[0])?)
     }
     fn run_into(
         &self,
@@ -558,14 +515,6 @@ impl Layer for FlattenLayer {
     fn implementation(&self) -> String {
         "view".into()
     }
-    fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        let x = inputs[0];
-        let batch = x.dims().first().copied().unwrap_or(1);
-        let rest = x.len() / batch.max(1);
-        x.reshaped(&[batch, rest])
-            .map_err(|e| EngineError::Execution(e.to_string()))
-    }
     fn run_into(
         &self,
         inputs: &[&Tensor],
@@ -579,19 +528,18 @@ impl Layer for FlattenLayer {
     }
 }
 
-/// Reshape to a static target shape (resolved at lowering time).
+/// Reshape to the static target shape resolved at lowering time, which the
+/// plan carries as the output slot's dims.
 #[derive(Debug)]
 pub struct ReshapeLayer {
     name: String,
-    target: Vec<usize>,
 }
 
 impl ReshapeLayer {
-    /// Creates a reshape layer with a fixed target shape.
-    pub fn new(name: &str, target: Vec<usize>) -> Self {
+    /// Creates a reshape layer.
+    pub fn new(name: &str) -> Self {
         ReshapeLayer {
             name: name.to_string(),
-            target,
         }
     }
 }
@@ -605,12 +553,6 @@ impl Layer for ReshapeLayer {
     }
     fn implementation(&self) -> String {
         "view".into()
-    }
-    fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        inputs[0]
-            .reshaped(&self.target)
-            .map_err(|e| EngineError::Execution(e.to_string()))
     }
     fn run_into(
         &self,
@@ -654,13 +596,19 @@ impl Layer for PadLayer {
     fn implementation(&self) -> String {
         "constant".into()
     }
-    fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
+    fn run_into(
+        &self,
+        inputs: &[&Tensor],
+        output: &mut Tensor,
+        _pool: &ThreadPool,
+    ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(orpheus_ops::pad::pad_constant(
+        Ok(pad_constant_into(
             inputs[0],
             &self.begins,
             &self.ends,
             self.value,
+            output,
         )?)
     }
 }
@@ -694,19 +642,21 @@ impl Layer for ReduceMeanLayer {
     fn implementation(&self) -> String {
         "scatter".into()
     }
-    fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
+    fn run_into(
+        &self,
+        inputs: &[&Tensor],
+        output: &mut Tensor,
+        _pool: &ThreadPool,
+    ) -> Result<(), EngineError> {
         let inputs = expect_inputs(&self.name, inputs, 1)?;
-        // ONNX: absent axes means reduce over all dimensions.
-        let axes: Vec<usize> = if self.axes.is_empty() {
-            (0..inputs[0].dims().len()).collect()
+        let x = inputs[0];
+        if self.axes.is_empty() {
+            // ONNX: absent axes means reduce over all dimensions.
+            let all: Vec<usize> = (0..x.dims().len()).collect();
+            Ok(reduce_mean_into(x, &all, self.keepdims, output)?)
         } else {
-            self.axes.clone()
-        };
-        Ok(orpheus_ops::reduce::reduce_mean(
-            inputs[0],
-            &axes,
-            self.keepdims,
-        )?)
+            Ok(reduce_mean_into(x, &self.axes, self.keepdims, output)?)
+        }
     }
 }
 
@@ -735,10 +685,6 @@ impl Layer for IdentityLayer {
     fn implementation(&self) -> String {
         "copy".into()
     }
-    fn run(&self, inputs: &[&Tensor], _pool: &ThreadPool) -> Result<Tensor, EngineError> {
-        let inputs = expect_inputs(&self.name, inputs, 1)?;
-        Ok(inputs[0].clone())
-    }
     fn run_into(
         &self,
         inputs: &[&Tensor],
@@ -754,9 +700,7 @@ impl Layer for IdentityLayer {
 mod tests {
     use super::*;
 
-    fn pool1() -> ThreadPool {
-        ThreadPool::single()
-    }
+    use crate::layer::run_to;
 
     #[test]
     fn conv_layer_runs_and_reports() {
@@ -771,9 +715,7 @@ mod tests {
             (4, 4),
         )
         .unwrap();
-        let out = layer
-            .run(&[&Tensor::ones(&[1, 1, 4, 4])], &pool1())
-            .unwrap();
+        let out = run_to(&layer, &[&Tensor::ones(&[1, 1, 4, 4])], &[1, 2, 4, 4]).unwrap();
         assert_eq!(out.dims(), &[1, 2, 4, 4]);
         assert_eq!(layer.op_name(), "Conv");
         assert!(layer.flops() > 0);
@@ -800,8 +742,8 @@ mod tests {
         assert_eq!(fallback.name(), layer.name());
         assert_eq!(fallback.flops(), layer.flops());
         let input = Tensor::from_fn(&[1, 2, 4, 4], |i| ((i * 7) % 11) as f32 * 0.1);
-        let a = layer.run(&[&input], &pool1()).unwrap();
-        let b = fallback.run(&[&input], &pool1()).unwrap();
+        let a = run_to(&layer, &[&input], &[1, 3, 4, 4]).unwrap();
+        let b = run_to(fallback.as_ref(), &[&input], &[1, 3, 4, 4]).unwrap();
         let r = orpheus_tensor::allclose(&a, &b, 1e-4, 1e-5);
         assert!(r.ok, "fallback disagrees with primary: {r:?}");
     }
@@ -827,7 +769,7 @@ mod tests {
         let layer = AddLayer::new("a", Some(Activation::Relu));
         let x = Tensor::from_vec(vec![-5.0, 1.0], &[2]).unwrap();
         let y = Tensor::from_vec(vec![1.0, 1.0], &[2]).unwrap();
-        let out = layer.run(&[&x, &y], &pool1()).unwrap();
+        let out = run_to(&layer, &[&x, &y], &[2]).unwrap();
         assert_eq!(out.as_slice(), &[0.0, 2.0]);
         assert!(layer.implementation().contains("relu"));
     }
@@ -836,29 +778,25 @@ mod tests {
     fn concat_layer_checks_arity() {
         let layer = ConcatLayer::new("cat", 2);
         let t = Tensor::ones(&[1, 1, 2, 2]);
-        assert!(layer.run(&[&t], &pool1()).is_err());
-        let out = layer.run(&[&t, &t], &pool1()).unwrap();
+        assert!(run_to(&layer, &[&t], &[1, 2, 2, 2]).is_err());
+        let out = run_to(&layer, &[&t, &t], &[1, 2, 2, 2]).unwrap();
         assert_eq!(out.dims(), &[1, 2, 2, 2]);
     }
 
     #[test]
     fn flatten_and_reshape() {
         let t = Tensor::from_fn(&[1, 2, 2, 2], |i| i as f32);
-        let flat = FlattenLayer::new("f").run(&[&t], &pool1()).unwrap();
-        assert_eq!(flat.dims(), &[1, 8]);
-        let rs = ReshapeLayer::new("r", vec![2, 4])
-            .run(&[&t], &pool1())
-            .unwrap();
-        assert_eq!(rs.dims(), &[2, 4]);
-        assert!(ReshapeLayer::new("r", vec![3, 3])
-            .run(&[&t], &pool1())
-            .is_err());
+        let flat = run_to(&FlattenLayer::new("f"), &[&t], &[1, 8]).unwrap();
+        assert_eq!(flat.as_slice(), t.as_slice());
+        let rs = run_to(&ReshapeLayer::new("r"), &[&t], &[2, 4]).unwrap();
+        assert_eq!(rs.as_slice(), t.as_slice());
+        assert!(run_to(&ReshapeLayer::new("r"), &[&t], &[3, 3]).is_err());
     }
 
     #[test]
     fn identity_passes_through() {
         let t = Tensor::from_fn(&[4], |i| i as f32);
-        let out = IdentityLayer::new("i").run(&[&t], &pool1()).unwrap();
+        let out = run_to(&IdentityLayer::new("i"), &[&t], &[4]).unwrap();
         assert_eq!(out, t);
     }
 
@@ -872,7 +810,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let out = layer.run(&[&Tensor::ones(&[1, 3])], &pool1()).unwrap();
+        let out = run_to(&layer, &[&Tensor::ones(&[1, 3])], &[1, 2]).unwrap();
         assert_eq!(out.as_slice(), &[3.0, 3.0]);
         assert_eq!(layer.flops(), 12);
     }
@@ -881,8 +819,23 @@ mod tests {
     fn pool_layers_run() {
         let t = Tensor::from_fn(&[1, 1, 4, 4], |i| i as f32);
         let p = PoolLayer::new("p", Pool2dParams::max(2, 2));
-        assert_eq!(p.run(&[&t], &pool1()).unwrap().dims(), &[1, 1, 2, 2]);
+        assert_eq!(
+            run_to(&p, &[&t], &[1, 1, 2, 2]).unwrap().as_slice(),
+            &[5.0, 7.0, 13.0, 15.0]
+        );
         let g = GlobalPoolLayer::new("g");
-        assert_eq!(g.run(&[&t], &pool1()).unwrap().dims(), &[1, 1, 1, 1]);
+        assert_eq!(run_to(&g, &[&t], &[1, 1, 1, 1]).unwrap().as_slice(), &[7.5]);
+    }
+
+    #[test]
+    fn pad_and_reduce_mean_layers_write_in_place() {
+        let t = Tensor::ones(&[1, 1, 2, 2]);
+        let pad = PadLayer::new("p", vec![0, 0, 1, 1], vec![0, 0, 1, 1], 0.0);
+        let padded = run_to(&pad, &[&t], &[1, 1, 4, 4]).unwrap();
+        assert_eq!(padded.sum(), 4.0);
+        assert!(run_to(&pad, &[&t], &[1, 1, 3, 3]).is_err());
+        let mean = ReduceMeanLayer::new("m", vec![], false);
+        let x = Tensor::from_fn(&[2, 2], |i| i as f32);
+        assert_eq!(run_to(&mean, &[&x], &[]).unwrap().as_slice(), &[1.5]);
     }
 }

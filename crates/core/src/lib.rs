@@ -15,8 +15,11 @@
 //!                                   Engine::load ◄───────┘
 //!                                        │  (lowering + implementation selection)
 //!                                        ▼
-//!                                    Network (executable plan)
-//!                                        │  run / run_profiled
+//!                                    Network (executable plan + MemoryPlans)
+//!                                        │  session(): run / run_batch / run_profiled
+//!                                        ▼
+//!                     Session (arena executor, Layer::run_into per step)
+//!                                        │
 //!                                        ▼
 //!                                  output + per-layer Profile
 //! ```
@@ -29,10 +32,11 @@
 //! * [`Personality`] — framework personalities (`orpheus`, `tvm-sim`,
 //!   `pytorch-sim`, `darknet-sim`, `tflite-sim`) that configure the engine to
 //!   model the baselines of the paper's Figure 2 and Table I.
-//! * [`Engine`] / [`Network`] — model loading and execution with per-layer
-//!   profiling and liveness-based memory management.
-//! * [`Session`] — a reusable execution context over the load-time
-//!   [`MemoryPlan`]: steady-state inference runs entirely out of a
+//! * [`Engine`] / [`Network`] — model loading, and the run entry points
+//!   (including per-layer profiling), all of which execute through a
+//!   [`Session`].
+//! * [`Session`] — the one executor: a reusable execution context over the
+//!   load-time [`MemoryPlan`]; steady-state inference runs entirely out of a
 //!   preallocated, liveness-recycled activation arena.
 //!
 //! ## Quickstart
@@ -75,7 +79,6 @@ mod fault;
 mod layer;
 pub mod layers;
 mod lower;
-mod memory;
 mod personality;
 mod plan;
 mod profile;
@@ -87,10 +90,9 @@ pub use engine::{Engine, EngineBuilder, Network, VendorBackend};
 pub use error::EngineError;
 pub use fault::FaultMode;
 pub use layer::Layer;
-pub use memory::MemoryStats;
 pub use personality::{Capability, Personality, ThreadPolicy, CAPABILITY_CRITERIA};
 pub use plan::MemoryPlan;
-pub use profile::{LayerTiming, Profile};
+pub use profile::{LayerTiming, MemoryStats, Profile};
 pub use selection::SelectionPolicy;
 pub use session::Session;
 pub use summary::{BucketSummary, LayerSummary, PlanSummary};

@@ -7,6 +7,7 @@
 //! a per-slot last-use table drives the executor's early tensor reclamation.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use orpheus_gemm::GemmKernel;
 use orpheus_graph::{infer_shapes, infer_shapes_with_batch, Graph, Node, OpKind};
@@ -82,6 +83,9 @@ pub(crate) struct Plan {
     /// `plan::plan_memory` after any fault-injection wrapping, before the
     /// plan is frozen into a `Network`. Mirrors `buckets[0].memory`.
     pub memory: Option<crate::plan::MemoryPlan>,
+    /// No-reuse memory plan per bucket (`buckets` order), built on first
+    /// use by the differential oracle session; see `plan::plan_memory_with`.
+    pub no_reuse_memory: OnceLock<Vec<crate::plan::MemoryPlan>>,
     /// One entry per batch bucket, ascending by batch, starting at the base.
     pub buckets: Vec<BucketPlan>,
     /// The GEMM ISA this plan's kernels execute on, resolved at lowering:
@@ -120,8 +124,17 @@ impl Plan {
             .unwrap_or(self.slot_dims.as_slice())
     }
 
-    /// Memory plan of bucket `idx`, falling back to the base plan.
-    pub fn bucket_memory(&self, idx: usize) -> &crate::plan::MemoryPlan {
+    /// Memory plan of bucket `idx`, falling back to the base plan: the
+    /// load-time arena-reuse plan, or with `reuse` false the no-reuse plan.
+    pub fn bucket_memory(&self, idx: usize, reuse: bool) -> &crate::plan::MemoryPlan {
+        if !reuse {
+            let plans = self.no_reuse_memory.get_or_init(|| {
+                (0..self.buckets.len().max(1))
+                    .map(|i| crate::plan::plan_memory_with(self, self.bucket_slot_dims(i), false))
+                    .collect()
+            });
+            return &plans[idx.min(plans.len() - 1)];
+        }
         self.buckets
             .get(idx)
             .and_then(|b| b.memory.as_ref())
@@ -142,7 +155,7 @@ impl Plan {
 
     /// The one dims-mismatch error every run surface shares
     /// ([`Session::run`](crate::Session::run) and its batch/into variants,
-    /// [`Network::run`](crate::Network::run), the legacy unplanned path):
+    /// [`Network::run`](crate::Network::run)):
     /// lists every accepted input shape and the planned batch buckets, not
     /// just the base shape.
     pub fn dims_error(&self, dims: &[usize]) -> EngineError {
@@ -321,6 +334,7 @@ pub(crate) fn lower(engine: &Engine, graph: &Graph) -> Result<Plan, EngineError>
         last_use,
         slot_dims,
         memory: None,
+        no_reuse_memory: OnceLock::new(),
         buckets,
         gemm_isa: if engine.forces_scalar() && orpheus_gemm::simd_available() {
             "scalar (forced)"
@@ -570,13 +584,7 @@ fn build_layer(
             node.attrs.int_or("keepdims", 1) != 0,
         )),
         OpKind::Flatten => Box::new(FlattenLayer::new(&node.name)),
-        OpKind::Reshape => {
-            let target = shapes
-                .get(&node.outputs[0])
-                .cloned()
-                .ok_or_else(|| err("no inferred output shape for Reshape".into()))?;
-            Box::new(ReshapeLayer::new(&node.name, target))
-        }
+        OpKind::Reshape => Box::new(ReshapeLayer::new(&node.name)),
         OpKind::Identity | OpKind::Dropout => Box::new(IdentityLayer::new(&node.name)),
         OpKind::Custom(op) => {
             return Err(err(format!(

@@ -12,10 +12,16 @@
 //! The plan is computed once at `Engine::load`; every
 //! [`Session`](crate::Session) then preallocates the planned buffers and
 //! runs steady-state inference without touching the heap.
+//!
+//! The same planner also builds the *no-reuse* plan — every slot owns its
+//! own buffer, no view moves — that the differential oracle session
+//! executes: the same executor over a trivially sound schedule, so arena
+//! reuse is the only thing a bit-identity check between the two can catch.
 
 use orpheus_verify::{plan_buffers, BucketSpec, PlanSpec, SlotInterval, StepSpec};
 
 use crate::lower::Plan;
+use crate::profile::MemoryStats;
 
 const BYTES_PER_ELEMENT: usize = 4;
 
@@ -70,6 +76,16 @@ impl MemoryPlan {
         }
     }
 
+    /// The plan's footprint as run statistics: the arena is the peak, every
+    /// slot value is one allocation, and each reclaim frees a value early.
+    pub fn stats(&self) -> MemoryStats {
+        MemoryStats {
+            peak_bytes: self.arena_bytes(),
+            total_allocated_bytes: self.total_slot_bytes,
+            tensors_freed_early: self.reclaim_at.iter().map(Vec::len).sum(),
+        }
+    }
+
     /// One-line human-readable summary for `Network::describe`.
     pub fn summary(&self) -> String {
         format!(
@@ -89,14 +105,18 @@ impl MemoryPlan {
 /// Call this after fault-injection wrapping: wrapped layers clear the
 /// `viewable` flag, and aliasing decisions must match what actually runs.
 pub(crate) fn plan_memory(plan: &Plan) -> MemoryPlan {
-    plan_memory_with(plan, &plan.slot_dims)
+    plan_memory_with(plan, &plan.slot_dims, true)
 }
 
-/// Computes the buffer-reuse plan for a lowered `Plan` with an explicit set
-/// of per-slot dims — the per-batch-bucket entry point. Liveness (step
-/// order, last uses, viewability) is batch-independent; only the slot sizes
+/// Computes the memory plan for a lowered `Plan` with an explicit set of
+/// per-slot dims — the per-batch-bucket entry point. Liveness (step order,
+/// last uses, viewability) is batch-independent; only the slot sizes
 /// change, so each bucket reuses the same intervals over different extents.
-pub(crate) fn plan_memory_with(plan: &Plan, slot_dims: &[Vec<usize>]) -> MemoryPlan {
+///
+/// With `reuse` false this is the no-reuse plan: every slot gets a buffer of
+/// its own and no view step moves, while reclaims keep the liveness
+/// schedule (so the plan checker's reclaim rules still apply).
+pub(crate) fn plan_memory_with(plan: &Plan, slot_dims: &[Vec<usize>], reuse: bool) -> MemoryPlan {
     let n_slots = plan.num_slots;
     let elems_of = |slot: usize| -> usize {
         slot_dims[slot]
@@ -124,7 +144,8 @@ pub(crate) fn plan_memory_with(plan: &Plan, slot_dims: &[Vec<usize>]) -> MemoryP
     let mut rep: Vec<usize> = (0..n_slots).collect();
     let mut view_move = vec![false; plan.steps.len()];
     for (i, step) in plan.steps.iter().enumerate() {
-        if step.viewable
+        if reuse
+            && step.viewable
             && step.inputs.len() == 1
             && plan.last_use[step.inputs[0]] == i
             && elems_of(step.inputs[0]) == elems_of(step.output)
@@ -158,11 +179,17 @@ pub(crate) fn plan_memory_with(plan: &Plan, slot_dims: &[Vec<usize>]) -> MemoryP
         iv.last_use = iv.last_use.max(read_time(slot)).max(iv.def);
     }
 
-    let buffers = plan_buffers(&intervals);
-    let buffer_of: Vec<usize> = group_of_slot
-        .iter()
-        .map(|&g| buffers.buffer_of[g])
-        .collect();
+    let (buffer_of, buffer_elems) = if reuse {
+        let buffers = plan_buffers(&intervals);
+        let buffer_of = group_of_slot
+            .iter()
+            .map(|&g| buffers.buffer_of[g])
+            .collect();
+        (buffer_of, buffers.buffer_elems)
+    } else {
+        // Without view moves every slot is its own group, in slot order.
+        (group_of_slot, intervals.iter().map(|iv| iv.elems).collect())
+    };
 
     // Reclaim lists: after step i, return every buffer whose slot was last
     // read there — except a view-move input, whose buffer transfers to the
@@ -183,7 +210,7 @@ pub(crate) fn plan_memory_with(plan: &Plan, slot_dims: &[Vec<usize>]) -> MemoryP
 
     MemoryPlan {
         buffer_of,
-        buffer_elems: buffers.buffer_elems,
+        buffer_elems,
         view_move,
         reclaim_at,
         aliased_views,
@@ -191,11 +218,12 @@ pub(crate) fn plan_memory_with(plan: &Plan, slot_dims: &[Vec<usize>]) -> MemoryP
     }
 }
 
-/// Projects a lowered `Plan` (plus its per-bucket memory plans) into the
+/// Projects a lowered `Plan` (plus its per-bucket memory plans — the reuse
+/// plans, or with `reuse` false the no-reuse plans) into the
 /// backend-neutral [`PlanSpec`] the static plan checker consumes. Layer
 /// boxes, dims, and fault wrappers are erased; only the slot wiring, element
 /// counts, and arena schedule survive — exactly what soundness depends on.
-pub(crate) fn plan_spec(model: &str, plan: &Plan) -> PlanSpec {
+pub(crate) fn plan_spec(model: &str, plan: &Plan, reuse: bool) -> PlanSpec {
     let elems = |dims: &[usize]| -> usize {
         dims.iter()
             .product::<usize>()
@@ -220,23 +248,17 @@ pub(crate) fn plan_spec(model: &str, plan: &Plan) -> PlanSpec {
         reclaim_at: memory.reclaim_at.clone(),
     };
 
-    let mut buckets: Vec<BucketSpec> = plan
-        .buckets
-        .iter()
-        .filter_map(|b| {
-            b.memory
-                .as_ref()
-                .map(|m| bucket_spec(b.batch, &b.slot_dims, m))
+    // Synthetic plans without explicit buckets carry one memory plan at the
+    // base batch.
+    let buckets: Vec<BucketSpec> = (0..plan.buckets.len().max(1))
+        .map(|idx| {
+            bucket_spec(
+                plan.bucket_batch(idx).max(1),
+                plan.bucket_slot_dims(idx),
+                plan.bucket_memory(idx, reuse),
+            )
         })
         .collect();
-    if buckets.is_empty() {
-        // Pre-bucket plans (or synthetic test plans) carry one memory plan
-        // at the base batch.
-        if let Some(m) = plan.memory.as_ref() {
-            let base = plan.input_dims.first().copied().unwrap_or(1).max(1);
-            buckets.push(bucket_spec(base, &plan.slot_dims, m));
-        }
-    }
 
     PlanSpec {
         model: model.to_string(),
@@ -269,12 +291,13 @@ mod tests {
         fn implementation(&self) -> String {
             "nop".into()
         }
-        fn run(
+        fn run_into(
             &self,
-            inputs: &[&Tensor],
+            _inputs: &[&Tensor],
+            _output: &mut Tensor,
             _pool: &ThreadPool,
-        ) -> Result<Tensor, crate::EngineError> {
-            Ok(inputs[0].clone())
+        ) -> Result<(), crate::EngineError> {
+            Ok(())
         }
     }
 
@@ -298,6 +321,7 @@ mod tests {
             last_use: vec![0, 1, usize::MAX],
             slot_dims: vec![vec![1, 4], vec![1, 4], vec![1, 4]],
             memory: None,
+            no_reuse_memory: Default::default(),
             buckets: Vec::new(),
             gemm_isa: "scalar",
         }
@@ -345,6 +369,7 @@ mod tests {
             last_use: vec![0, 2, 2, usize::MAX],
             slot_dims: vec![vec![1, 4]; 4],
             memory: None,
+            no_reuse_memory: Default::default(),
             buckets: Vec::new(),
             gemm_isa: "scalar",
         };
@@ -352,6 +377,22 @@ mod tests {
         assert!(!mp.view_move[1]);
         assert_eq!(mp.aliased_views(), 0);
         assert_ne!(mp.buffer_of[1], mp.buffer_of[2]);
+    }
+
+    #[test]
+    fn no_reuse_plan_gives_every_slot_its_own_buffer() {
+        let mut plan = chain_plan();
+        plan.steps[1].viewable = true;
+        let mp = plan_memory_with(&plan, &plan.slot_dims, false);
+        assert_eq!(mp.num_buffers(), plan.num_slots);
+        assert_eq!(mp.buffer_of, vec![0, 1, 2]);
+        assert_eq!(mp.aliased_views(), 0);
+        assert_eq!(mp.arena_bytes(), mp.total_slot_bytes());
+        // Reclaims keep the liveness schedule.
+        assert_eq!(mp.reclaim_at, vec![vec![0], vec![1]]);
+        let stats = mp.stats();
+        assert_eq!(stats.peak_bytes, 3 * 4 * 4);
+        assert_eq!(stats.tensors_freed_early, 2);
     }
 
     #[test]

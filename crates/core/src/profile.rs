@@ -2,15 +2,29 @@
 //!
 //! The paper's evaluation workflow — "infrastructure to run multiple
 //! inference experiments, evaluating full networks, and individual layers" —
-//! needs per-layer timings; the executor produces one [`LayerTiming`] per
-//! plan step on profiled runs.
+//! needs per-layer timings; the session executor produces one
+//! [`LayerTiming`] per plan step on profiled runs.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use orpheus_observe::{json::escape, Trace};
 
-use crate::memory::MemoryStats;
+/// Activation-memory statistics of one network run, read off the memory
+/// plan the run executed (see [`MemoryPlan::stats`](crate::MemoryPlan::stats)).
+/// On edge devices — the paper's deployment target — activation memory is
+/// often the binding constraint.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoryStats {
+    /// Peak bytes of live activation storage: the planned arena.
+    pub peak_bytes: usize,
+    /// Bytes of every activation value the run produced, summed — what an
+    /// executor without buffer reuse would hold.
+    pub total_allocated_bytes: usize,
+    /// Values whose storage returned to the arena before the run ended,
+    /// thanks to liveness analysis.
+    pub tensors_freed_early: usize,
+}
 
 /// Timing record for one layer invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,9 +69,10 @@ pub struct Profile {
 impl Profile {
     /// Rebuilds a per-layer profile from a recorded trace (see
     /// `orpheus-observe`): every `"layer"`-category span becomes one
-    /// [`LayerTiming`], the enclosing `"run"` span (when present) provides
-    /// the end-to-end total. Memory statistics are not recoverable from a
-    /// trace and are left at their defaults.
+    /// [`LayerTiming`], the enclosing session `"run"` span (when present)
+    /// provides the end-to-end total. Memory statistics are not recoverable
+    /// from a trace and are left at their defaults; callers holding the
+    /// network fill them from its memory plan.
     pub fn from_trace(trace: &Trace) -> Profile {
         let mut timings: Vec<(f64, LayerTiming)> = trace
             .by_category("layer")
@@ -78,7 +93,7 @@ impl Profile {
             .collect();
         timings.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite timestamps"));
         let total = trace
-            .by_category("engine")
+            .by_category("session")
             .filter(|s| s.name == "run")
             .map(|s| Duration::from_secs_f64(s.dur_us / 1e6))
             .max()
@@ -166,10 +181,10 @@ impl Profile {
             ));
         }
         out.push_str(&format!(
-            "total: {:.3} ms over {} layers, peak activation memory {:.2} MiB\n",
+            "total: {:.3} ms over {} layers, peak activation memory {}\n",
             self.total.as_secs_f64() * 1e3,
             self.timings.len(),
-            self.memory.peak_bytes as f64 / (1024.0 * 1024.0)
+            orpheus_verify::dataflow::human_bytes(self.memory.peak_bytes)
         ));
         out
     }
@@ -330,7 +345,7 @@ mod tests {
                     id: 1,
                     parent: None,
                     name: "run".into(),
-                    category: "engine",
+                    category: "session",
                     start_us: 0.0,
                     dur_us: 120.0,
                     tid: 0,

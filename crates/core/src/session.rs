@@ -14,7 +14,7 @@
 //! [`Network::run_batch`](crate::Network::run_batch)) to amortise the arena.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use orpheus_observe as observe;
 use orpheus_tensor::{Shape, Tensor};
@@ -22,8 +22,9 @@ use orpheus_threads::ThreadPool;
 
 use crate::error::EngineError;
 use crate::layer::Layer;
-use crate::lower::Plan;
+use crate::lower::{Plan, PlanStep};
 use crate::plan::MemoryPlan;
+use crate::profile::{LayerTiming, Profile};
 
 /// Steps with at most this many inputs borrow their input refs from a stack
 /// array; wider fan-in (absent from the model zoo) falls back to a `Vec`.
@@ -75,6 +76,10 @@ pub struct Session {
     /// where a `Some` entry replaces the step's selected layer. Empty for
     /// ordinary sessions, so the happy path pays nothing.
     reference: Vec<Option<Box<dyn Layer>>>,
+    /// Whether this session executes the load-time arena-reuse plans; false
+    /// only for the no-reuse differential oracle
+    /// ([`Network::no_reuse_session`](crate::Network::no_reuse_session)).
+    reuse: bool,
     /// Placeholder for the input-ref stack array.
     empty: Tensor,
 }
@@ -85,12 +90,13 @@ impl Session {
         pool: ThreadPool,
         model: String,
         prefer_reference: bool,
+        reuse: bool,
     ) -> Session {
         let buckets = plan.buckets.len().max(1);
         let states: Vec<BucketState> = (0..buckets)
             .map(|idx| {
                 let dims = plan.bucket_slot_dims(idx);
-                let mp = plan.bucket_memory(idx);
+                let mp = plan.bucket_memory(idx, reuse);
                 // The base bucket preallocates its planned capacity; larger
                 // buckets start empty and grow to plan on first use, so an
                 // 8-bucket session does not hold eight resident arenas for
@@ -116,7 +122,7 @@ impl Session {
             })
             .collect();
         if observe::enabled() {
-            let mp = plan.bucket_memory(0);
+            let mp = plan.bucket_memory(0, reuse);
             observe::gauge_set("session.arena.bytes", mp.arena_bytes() as f64);
             observe::gauge_set("session.arena.buffers", mp.num_buffers() as f64);
             observe::gauge_set("session.arena.reuse_ratio", mp.reuse_ratio());
@@ -135,6 +141,7 @@ impl Session {
             active: 0,
             padded_output: None,
             reference,
+            reuse,
             empty: Tensor::zeros(&[0]),
             plan,
             pool,
@@ -195,7 +202,7 @@ impl Session {
     }
 
     fn memory_plan(&self) -> &MemoryPlan {
-        self.plan.bucket_memory(self.active)
+        self.plan.bucket_memory(self.active, self.reuse)
     }
 
     /// Re-arms the session after a fault without replanning: every live
@@ -210,7 +217,7 @@ impl Session {
     /// re-growing at most the one lost buffer, never recomputing the plan.
     pub fn reset(&mut self) {
         let plan = Arc::clone(&self.plan);
-        let mp = plan.bucket_memory(self.active);
+        let mp = plan.bucket_memory(self.active, self.reuse);
         let state = &mut self.states[self.active];
         for slot in 0..plan.num_slots {
             if let Some(t) = self.slots[slot].take() {
@@ -239,7 +246,7 @@ impl Session {
     /// resident capacity to the static plan, keeping `measured <= planned`
     /// in every bucket. No-op (and allocation-free) once provisioned.
     fn provision_active_arena(&mut self) {
-        let mp = self.plan.bucket_memory(self.active);
+        let mp = self.plan.bucket_memory(self.active, self.reuse);
         let state = &mut self.states[self.active];
         for (data, &elems) in state.arena.iter_mut().zip(&mp.buffer_elems) {
             if data.capacity() < elems {
@@ -312,6 +319,50 @@ impl Session {
     /// bucket of the loaded model (the message lists every accepted shape),
     /// or if a layer fails and has no reference fallback.
     pub fn run(&mut self, input: &Tensor) -> Result<&Tensor, EngineError> {
+        self.run_timed(input, None)
+    }
+
+    /// Runs one inference, recording per-layer wall time and the run's
+    /// memory statistics. One timing row per plan step, view moves
+    /// included, in execution order; the total covers the whole session run.
+    /// Accepted inputs and errors are exactly [`Session::run`]'s.
+    pub(crate) fn run_profiled(
+        &mut self,
+        input: &Tensor,
+    ) -> Result<(Tensor, Profile), EngineError> {
+        let mut durations = vec![Duration::ZERO; self.plan.steps.len()];
+        let start = Instant::now();
+        let output = self.run_timed(input, Some(&mut durations))?;
+        let total = start.elapsed();
+        let output = output.clone();
+        let timings = self
+            .plan
+            .steps
+            .iter()
+            .zip(durations)
+            .map(|(step, duration)| LayerTiming {
+                name: step.layer.name().to_string(),
+                op: step.layer.op_name().to_string(),
+                implementation: step.layer.implementation(),
+                duration,
+                flops: step.layer.flops(),
+            })
+            .collect();
+        let profile = Profile {
+            timings,
+            total,
+            memory: self.memory_plan().stats(),
+        };
+        Ok((output, profile))
+    }
+
+    /// [`Session::run`], writing each step's wall time into `timings` (one
+    /// slot per plan step) when given.
+    fn run_timed(
+        &mut self,
+        input: &Tensor,
+        timings: Option<&mut [Duration]>,
+    ) -> Result<&Tensor, EngineError> {
         let (bucket, batch) = match self.select_bucket(input.dims()) {
             Ok(sel) => sel,
             Err(e) => {
@@ -320,7 +371,7 @@ impl Session {
             }
         };
         self.switch_bucket(bucket);
-        if let Err(e) = self.run_inner(input) {
+        if let Err(e) = self.run_inner(input, timings) {
             // Error paths are cold: stamp the flight recorder so a post-hoc
             // dump explains what the session was doing when it failed.
             observe::flight_record("session", "run.error", format!("{}: {e}", self.model));
@@ -488,9 +539,13 @@ impl Session {
         Ok(outputs)
     }
 
-    fn run_inner(&mut self, input: &Tensor) -> Result<(), EngineError> {
+    fn run_inner(
+        &mut self,
+        input: &Tensor,
+        mut timings: Option<&mut [Duration]>,
+    ) -> Result<(), EngineError> {
         let plan = Arc::clone(&self.plan);
-        let mp = plan.bucket_memory(self.active);
+        let mp = plan.bucket_memory(self.active, self.reuse);
         let mut run_span = observe::span("run", "session");
         run_span.attr("model", self.model.as_str());
         let start = Instant::now();
@@ -519,124 +574,143 @@ impl Session {
         }
 
         for (step_idx, step) in plan.steps.iter().enumerate() {
-            if mp.view_move[step_idx] {
-                // Pure view over a dying value: move the buffer, skip the
-                // layer entirely.
-                let src = self.slots[step.inputs[0]].take().ok_or_else(|| {
-                    EngineError::Execution(format!(
-                        "layer {:?} reads slot {} before it is produced",
-                        step.layer.name(),
-                        step.inputs[0]
-                    ))
-                })?;
-                let (shape_in, data) = src.into_parts();
-                let state = &mut self.states[self.active];
-                state.shapes[step.inputs[0]] = Some(shape_in);
-                let shape_out = state.shapes[step.output].take().unwrap_or_else(|| {
-                    Shape::new(&plan.bucket_slot_dims(self.active)[step.output])
-                });
-                self.slots[step.output] = Some(
-                    Tensor::from_parts(shape_out, data)
-                        .map_err(|e| EngineError::Execution(e.to_string()))?,
-                );
-                continue;
-            }
-
-            let (shape, data) = self.materialize(step.output, mp.buffer_of[step.output]);
-            let mut out = Tensor::from_parts(shape, data)
-                .map_err(|e| EngineError::Execution(e.to_string()))?;
-            {
-                // Reference-preferring sessions (the circuit breaker's
-                // degraded path) swap in the prebuilt reference twin.
-                let layer: &dyn Layer = self
-                    .reference
-                    .get(step_idx)
-                    .and_then(|l| l.as_deref())
-                    .unwrap_or(step.layer.as_ref());
-                let mut stack: [&Tensor; MAX_FAN_IN] = [&self.empty; MAX_FAN_IN];
-                let mut heap: Vec<&Tensor> = Vec::new();
-                let inputs: &[&Tensor] = if step.inputs.len() <= MAX_FAN_IN {
-                    for (i, &slot) in step.inputs.iter().enumerate() {
-                        stack[i] = self.slots[slot].as_ref().ok_or_else(|| {
-                            EngineError::Execution(format!(
-                                "layer {:?} reads slot {slot} before it is produced",
-                                step.layer.name()
-                            ))
-                        })?;
-                    }
-                    &stack[..step.inputs.len()]
-                } else {
-                    for &slot in &step.inputs {
-                        heap.push(self.slots[slot].as_ref().ok_or_else(|| {
-                            EngineError::Execution(format!(
-                                "layer {:?} reads slot {slot} before it is produced",
-                                step.layer.name()
-                            ))
-                        })?);
-                    }
-                    &heap
-                };
-                let mut layer_span = observe::span(layer.name(), "layer");
-                // `implementation()` builds a String; skip the attrs entirely
-                // when the recorder is off so steady state stays alloc-free.
-                if observe::enabled() {
-                    layer_span.attr("op", layer.op_name());
-                    layer_span.attr("implementation", layer.implementation());
-                    layer_span.attr("flops", layer.flops());
-                }
-                if let Err(primary) = layer.run_into(inputs, &mut out, &self.pool) {
-                    // Graceful degradation, mirroring the legacy executor:
-                    // retry once on the reference implementation (into a
-                    // re-zeroed buffer), surfacing the original error if even
-                    // that cannot run. This path only runs on a fault, so the
-                    // flight-recorder stamp does not touch the zero-alloc
-                    // steady state.
-                    let Some(fallback) = layer.reference_fallback() else {
-                        observe::flight_record(
-                            "selection",
-                            "fault.unrecoverable",
-                            format!("{}: {primary}", layer.name()),
-                        );
-                        return Err(primary);
-                    };
-                    out.as_mut_slice().fill(0.0);
-                    if fallback.run_into(inputs, &mut out, &self.pool).is_err() {
-                        observe::flight_record(
-                            "selection",
-                            "fallback.failed",
-                            format!("{}: {primary}", layer.name()),
-                        );
-                        return Err(primary);
-                    }
-                    layer_span.attr("fallback", fallback.implementation());
-                    observe::counter_add("selection.fallback", 1);
-                    observe::flight_record(
-                        "selection",
-                        "fallback",
-                        format!(
-                            "{}: rescued by {} after: {primary}",
-                            layer.name(),
-                            fallback.implementation()
-                        ),
-                    );
-                }
-            }
-            self.slots[step.output] = Some(out);
-
-            // Liveness-driven recycling: every slot last read by this step
-            // hands its storage back to the arena.
-            for &slot in &mp.reclaim_at[step_idx] {
-                if let Some(t) = self.slots[slot].take() {
-                    let (shape, data) = t.into_parts();
-                    let state = &mut self.states[self.active];
-                    state.shapes[slot] = Some(shape);
-                    state.arena[mp.buffer_of[slot]] = data;
+            match timings.as_deref_mut() {
+                None => self.run_step(&plan, mp, step_idx, step)?,
+                Some(timings) => {
+                    let step_start = Instant::now();
+                    self.run_step(&plan, mp, step_idx, step)?;
+                    timings[step_idx] = step_start.elapsed();
                 }
             }
         }
 
         observe::histogram_record("run.latency_us", start.elapsed().as_micros() as u64);
         drop(run_span);
+        Ok(())
+    }
+
+    /// Executes plan step `step_idx` of the active bucket, then returns the
+    /// storage of every slot it last read to the arena.
+    fn run_step(
+        &mut self,
+        plan: &Plan,
+        mp: &MemoryPlan,
+        step_idx: usize,
+        step: &PlanStep,
+    ) -> Result<(), EngineError> {
+        if mp.view_move[step_idx] {
+            // Pure view over a dying value: move the buffer, skip the
+            // layer entirely.
+            let src = self.slots[step.inputs[0]].take().ok_or_else(|| {
+                EngineError::Execution(format!(
+                    "layer {:?} reads slot {} before it is produced",
+                    step.layer.name(),
+                    step.inputs[0]
+                ))
+            })?;
+            let (shape_in, data) = src.into_parts();
+            let state = &mut self.states[self.active];
+            state.shapes[step.inputs[0]] = Some(shape_in);
+            let shape_out = state.shapes[step.output]
+                .take()
+                .unwrap_or_else(|| Shape::new(&plan.bucket_slot_dims(self.active)[step.output]));
+            self.slots[step.output] = Some(
+                Tensor::from_parts(shape_out, data)
+                    .map_err(|e| EngineError::Execution(e.to_string()))?,
+            );
+            return Ok(());
+        }
+
+        let (shape, data) = self.materialize(step.output, mp.buffer_of[step.output]);
+        let mut out =
+            Tensor::from_parts(shape, data).map_err(|e| EngineError::Execution(e.to_string()))?;
+        {
+            // Reference-preferring sessions (the circuit breaker's
+            // degraded path) swap in the prebuilt reference twin.
+            let layer: &dyn Layer = self
+                .reference
+                .get(step_idx)
+                .and_then(|l| l.as_deref())
+                .unwrap_or(step.layer.as_ref());
+            let mut stack: [&Tensor; MAX_FAN_IN] = [&self.empty; MAX_FAN_IN];
+            let mut heap: Vec<&Tensor> = Vec::new();
+            let inputs: &[&Tensor] = if step.inputs.len() <= MAX_FAN_IN {
+                for (i, &slot) in step.inputs.iter().enumerate() {
+                    stack[i] = self.slots[slot].as_ref().ok_or_else(|| {
+                        EngineError::Execution(format!(
+                            "layer {:?} reads slot {slot} before it is produced",
+                            step.layer.name()
+                        ))
+                    })?;
+                }
+                &stack[..step.inputs.len()]
+            } else {
+                for &slot in &step.inputs {
+                    heap.push(self.slots[slot].as_ref().ok_or_else(|| {
+                        EngineError::Execution(format!(
+                            "layer {:?} reads slot {slot} before it is produced",
+                            step.layer.name()
+                        ))
+                    })?);
+                }
+                &heap
+            };
+            let mut layer_span = observe::span(layer.name(), "layer");
+            // `implementation()` builds a String; skip the attrs entirely
+            // when the recorder is off so steady state stays alloc-free.
+            if observe::enabled() {
+                layer_span.attr("op", layer.op_name());
+                layer_span.attr("implementation", layer.implementation());
+                layer_span.attr("flops", layer.flops());
+            }
+            if let Err(primary) = layer.run_into(inputs, &mut out, &self.pool) {
+                // Graceful degradation: retry once on the reference
+                // implementation (into a re-zeroed buffer), surfacing the
+                // original error if even that cannot run. This path only
+                // runs on a fault, so the flight-recorder stamp does not
+                // touch the zero-alloc steady state.
+                let Some(fallback) = layer.reference_fallback() else {
+                    observe::flight_record(
+                        "selection",
+                        "fault.unrecoverable",
+                        format!("{}: {primary}", layer.name()),
+                    );
+                    return Err(primary);
+                };
+                out.as_mut_slice().fill(0.0);
+                if fallback.run_into(inputs, &mut out, &self.pool).is_err() {
+                    observe::flight_record(
+                        "selection",
+                        "fallback.failed",
+                        format!("{}: {primary}", layer.name()),
+                    );
+                    return Err(primary);
+                }
+                layer_span.attr("fallback", fallback.implementation());
+                observe::counter_add("selection.fallback", 1);
+                observe::flight_record(
+                    "selection",
+                    "fallback",
+                    format!(
+                        "{}: rescued by {} after: {primary}",
+                        layer.name(),
+                        fallback.implementation()
+                    ),
+                );
+            }
+        }
+        self.slots[step.output] = Some(out);
+
+        // Liveness-driven recycling: every slot last read by this step
+        // hands its storage back to the arena.
+        for &slot in &mp.reclaim_at[step_idx] {
+            if let Some(t) = self.slots[slot].take() {
+                let (shape, data) = t.into_parts();
+                let state = &mut self.states[self.active];
+                state.shapes[slot] = Some(shape);
+                state.arena[mp.buffer_of[slot]] = data;
+            }
+        }
         Ok(())
     }
 }
@@ -665,7 +739,7 @@ mod tests {
     fn session_matches_one_shot_run() {
         let network = tiny_network();
         let input = Tensor::from_fn(&[1, 3, 8, 8], |i| ((i * 5) % 13) as f32 * 0.1);
-        let expected = network.run_unplanned(&input).unwrap();
+        let expected = network.no_reuse_session().run(&input).unwrap().clone();
         let mut session = network.session();
         for _ in 0..3 {
             let got = session.run(&input).unwrap();

@@ -70,7 +70,7 @@ impl PlanSummary {
             .collect();
         let batch_buckets = (0..plan.buckets.len().max(1))
             .map(|idx| {
-                let memory = plan.bucket_memory(idx);
+                let memory = plan.bucket_memory(idx, true);
                 BucketSummary {
                     batch: plan.bucket_batch(idx),
                     arena_bytes: memory.arena_bytes(),

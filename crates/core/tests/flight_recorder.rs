@@ -98,27 +98,6 @@ fn load_stamps_the_gemm_isa() {
 }
 
 #[test]
-fn legacy_executor_fallback_also_records_flight_events() {
-    let network = Engine::builder()
-        .fault_injection("pack")
-        .build()
-        .unwrap()
-        .load(build_model(ModelKind::TinyCnn))
-        .unwrap();
-    let input = Tensor::from_fn(&[1, 3, 8, 8], |i| ((i * 5) % 11) as f32 * 0.1);
-    network.run_unplanned(&input).unwrap();
-
-    let events = observe::flight_snapshot();
-    assert!(
-        events
-            .iter()
-            .any(|e| e.category == "selection" && e.label == "fallback"),
-        "legacy fallback left no flight-recorder entry; ring: {}",
-        observe::flight_render(&events)
-    );
-}
-
-#[test]
 fn unrecoverable_fault_leaves_error_entries() {
     // Pool layers have no reference twin, so the injected fault is terminal.
     let network = Engine::builder()

@@ -1,8 +1,8 @@
 //! Zoo-wide contracts of the static memory planner and arena executor:
 //!
 //! * **Bit-identity** — for every zoo model, `Session::run` over the planned
-//!   arena produces byte-for-byte the same output as the legacy per-run
-//!   allocating executor (`Network::run_unplanned`), run after run.
+//!   arena produces byte-for-byte the same output as the same executor over
+//!   the no-reuse plan (`Network::no_reuse_session`), run after run.
 //! * **Footprint** — the arena capacity actually resident after real runs
 //!   never exceeds the static [`orpheus::MemoryPlan`] prediction, and the
 //!   plan itself never exceeds what a no-reuse executor would hold.
@@ -40,7 +40,7 @@ fn load(model: ModelKind) -> (orpheus::Network, Tensor) {
 fn arena_executor_is_bit_identical_across_zoo() {
     for model in ZOO {
         let (network, input) = load(model);
-        let expected = network.run_unplanned(&input).unwrap();
+        let expected = network.no_reuse_session().run(&input).unwrap().clone();
         let mut session = network.session();
         for run in 0..2 {
             let got = session.run(&input).unwrap();
@@ -48,7 +48,7 @@ fn arena_executor_is_bit_identical_across_zoo() {
             assert_eq!(
                 got.as_slice(),
                 expected.as_slice(),
-                "{model}: arena output differs from legacy executor (run {run})"
+                "{model}: arena output differs from the no-reuse oracle (run {run})"
             );
         }
     }

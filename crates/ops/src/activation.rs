@@ -72,13 +72,6 @@ impl Activation {
         }
     }
 
-    /// Applies the activation to a tensor, producing a new tensor.
-    pub fn run(&self, input: &Tensor) -> Tensor {
-        let mut out = input.clone();
-        self.apply_slice(out.as_mut_slice());
-        out
-    }
-
     /// Applies the activation into a preallocated output tensor of the
     /// input's dims.
     ///
@@ -95,16 +88,22 @@ impl Activation {
 mod tests {
     use super::*;
 
+    fn run(act: Activation, input: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(input.dims());
+        act.run_into(input, &mut out);
+        out
+    }
+
     #[test]
     fn relu_clamps_negatives() {
         let t = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]).unwrap();
-        assert_eq!(Activation::Relu.run(&t).as_slice(), &[0.0, 0.0, 2.0]);
+        assert_eq!(run(Activation::Relu, &t).as_slice(), &[0.0, 0.0, 2.0]);
     }
 
     #[test]
     fn relu6_clamps_both_sides() {
         let t = Tensor::from_vec(vec![-1.0, 3.0, 9.0], &[3]).unwrap();
-        assert_eq!(Activation::Relu6.run(&t).as_slice(), &[0.0, 3.0, 6.0]);
+        assert_eq!(run(Activation::Relu6, &t).as_slice(), &[0.0, 3.0, 6.0]);
     }
 
     #[test]

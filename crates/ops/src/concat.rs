@@ -4,7 +4,8 @@ use orpheus_tensor::{ShapeError, Tensor};
 
 use crate::error::OpError;
 
-/// Concatenates NCHW tensors along the channel axis.
+/// Concatenates NCHW tensors along the channel axis into a preallocated
+/// output tensor.
 ///
 /// All inputs must share batch and spatial dims. This is the join at the end
 /// of every Inception module.
@@ -12,20 +13,8 @@ use crate::error::OpError;
 /// # Errors
 ///
 /// Returns [`OpError::InvalidParams`] for an empty input list and
-/// [`OpError::Shape`] for rank or dimension mismatches.
-pub fn concat_channels(inputs: &[&Tensor]) -> Result<Tensor, OpError> {
-    let (n, total_c, h, w) = concat_dims(inputs)?;
-    let mut out = Tensor::zeros(&[n, total_c, h, w]);
-    concat_channels_into(inputs, &mut out)?;
-    Ok(out)
-}
-
-/// [`concat_channels`] writing into a preallocated output tensor.
-///
-/// # Errors
-///
-/// Same as [`concat_channels`], plus [`OpError::Shape`] if `output` does not
-/// have the concatenated dims.
+/// [`OpError::Shape`] for rank or dimension mismatches, or if `output` does
+/// not have the concatenated dims.
 pub fn concat_channels_into(inputs: &[&Tensor], output: &mut Tensor) -> Result<(), OpError> {
     let (n, total_c, h, w) = concat_dims(inputs)?;
     if output.dims() != [n, total_c, h, w] {
@@ -87,6 +76,13 @@ fn concat_dims(inputs: &[&Tensor]) -> Result<(usize, usize, usize, usize), OpErr
 mod tests {
     use super::*;
 
+    fn concat_channels(inputs: &[&Tensor]) -> Result<Tensor, OpError> {
+        let (n, total_c, h, w) = concat_dims(inputs)?;
+        let mut out = Tensor::zeros(&[n, total_c, h, w]);
+        concat_channels_into(inputs, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn concat_two_tensors() {
         let a = Tensor::full(&[1, 1, 2, 2], 1.0);
@@ -131,6 +127,16 @@ mod tests {
         assert!(concat_channels(&[]).is_err());
         let a = Tensor::zeros(&[4]);
         assert!(concat_channels(&[&a]).is_err());
+    }
+
+    #[test]
+    fn rejects_wrong_output_dims() {
+        let a = Tensor::zeros(&[1, 1, 2, 2]);
+        let mut out = Tensor::zeros(&[1, 1, 2, 2]);
+        assert!(matches!(
+            concat_channels_into(&[&a, &a], &mut out),
+            Err(OpError::Shape(_))
+        ));
     }
 
     #[test]

@@ -16,21 +16,8 @@ pub enum BinaryOp {
     Mul,
 }
 
-/// Applies a binary operation over two same-shaped tensors.
-///
-/// # Errors
-///
-/// Returns [`OpError::Shape`] if the shapes differ.
-pub fn binary(op: BinaryOp, a: &Tensor, b: &Tensor) -> Result<Tensor, OpError> {
-    let f = match op {
-        BinaryOp::Add => |x: f32, y: f32| x + y,
-        BinaryOp::Sub => |x: f32, y: f32| x - y,
-        BinaryOp::Mul => |x: f32, y: f32| x * y,
-    };
-    a.zip_with(b, f).map_err(Into::into)
-}
-
-/// [`binary`] writing into a preallocated output tensor of the inputs' dims.
+/// Applies a binary operation over two same-shaped tensors, writing into a
+/// preallocated output tensor of the inputs' dims.
 ///
 /// # Errors
 ///
@@ -41,20 +28,7 @@ pub fn binary_into(
     b: &Tensor,
     output: &mut Tensor,
 ) -> Result<(), OpError> {
-    if a.shape() != b.shape() {
-        return Err(ShapeError::Mismatch {
-            left: a.dims().to_vec(),
-            right: b.dims().to_vec(),
-        }
-        .into());
-    }
-    if output.shape() != a.shape() {
-        return Err(ShapeError::Mismatch {
-            left: output.dims().to_vec(),
-            right: a.dims().to_vec(),
-        }
-        .into());
-    }
+    check_shapes(a, b, output)?;
     let f = match op {
         BinaryOp::Add => |x: f32, y: f32| x + y,
         BinaryOp::Sub => |x: f32, y: f32| x - y,
@@ -71,28 +45,9 @@ pub fn binary_into(
     Ok(())
 }
 
-/// Fused `activation(a + b)` — the shape of every ResNet block join.
-/// Runs in one pass over the output.
-///
-/// # Errors
-///
-/// Returns [`OpError::Shape`] if the shapes differ.
-pub fn add_activate(a: &Tensor, b: &Tensor, act: Activation) -> Result<Tensor, OpError> {
-    if a.shape() != b.shape() {
-        return Err(ShapeError::Mismatch {
-            left: a.dims().to_vec(),
-            right: b.dims().to_vec(),
-        }
-        .into());
-    }
-    let mut out = a.clone();
-    for (o, &y) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *o = act.apply(*o + y);
-    }
-    Ok(out)
-}
-
-/// [`add_activate`] writing into a preallocated output tensor.
+/// Fused `activation(a + b)` — the shape of every ResNet block join —
+/// writing into a preallocated output tensor. Runs in one pass over the
+/// output.
 ///
 /// # Errors
 ///
@@ -103,20 +58,7 @@ pub fn add_activate_into(
     act: Activation,
     output: &mut Tensor,
 ) -> Result<(), OpError> {
-    if a.shape() != b.shape() {
-        return Err(ShapeError::Mismatch {
-            left: a.dims().to_vec(),
-            right: b.dims().to_vec(),
-        }
-        .into());
-    }
-    if output.shape() != a.shape() {
-        return Err(ShapeError::Mismatch {
-            left: output.dims().to_vec(),
-            right: a.dims().to_vec(),
-        }
-        .into());
-    }
+    check_shapes(a, b, output)?;
     for ((o, &x), &y) in output
         .as_mut_slice()
         .iter_mut()
@@ -128,12 +70,38 @@ pub fn add_activate_into(
     Ok(())
 }
 
+/// Requires `a`, `b` and `output` to share one shape.
+fn check_shapes(a: &Tensor, b: &Tensor, output: &Tensor) -> Result<(), OpError> {
+    for (left, right) in [(a, b), (output, a)] {
+        if left.shape() != right.shape() {
+            return Err(ShapeError::Mismatch {
+                left: left.dims().to_vec(),
+                right: right.dims().to_vec(),
+            }
+            .into());
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(v: &[f32]) -> Tensor {
         Tensor::from_vec(v.to_vec(), &[v.len()]).unwrap()
+    }
+
+    fn binary(op: BinaryOp, a: &Tensor, b: &Tensor) -> Result<Tensor, OpError> {
+        let mut out = Tensor::zeros(a.dims());
+        binary_into(op, a, b, &mut out)?;
+        Ok(out)
+    }
+
+    fn add_activate(a: &Tensor, b: &Tensor, act: Activation) -> Result<Tensor, OpError> {
+        let mut out = Tensor::zeros(a.dims());
+        add_activate_into(a, b, act, &mut out)?;
+        Ok(out)
     }
 
     #[test]
@@ -160,6 +128,10 @@ mod tests {
         assert!(
             add_activate(&Tensor::zeros(&[2]), &Tensor::zeros(&[3]), Activation::Relu).is_err()
         );
+        let mut out = Tensor::zeros(&[3]);
+        let two = Tensor::zeros(&[2]);
+        assert!(binary_into(BinaryOp::Add, &two, &two, &mut out).is_err());
+        assert!(add_activate_into(&two, &two, Activation::Relu, &mut out).is_err());
     }
 
     #[test]
@@ -167,7 +139,8 @@ mod tests {
         let a = t(&[1.0, -5.0, 2.0]);
         let b = t(&[1.0, 2.0, -9.0]);
         let fused = add_activate(&a, &b, Activation::Relu).unwrap();
-        let unfused = Activation::Relu.run(&binary(BinaryOp::Add, &a, &b).unwrap());
+        let mut unfused = binary(BinaryOp::Add, &a, &b).unwrap();
+        Activation::Relu.apply_slice(unfused.as_mut_slice());
         assert_eq!(fused, unfused);
         assert_eq!(fused.as_slice(), &[2.0, 0.0, 0.0]);
     }

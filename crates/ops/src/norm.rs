@@ -68,24 +68,12 @@ impl BatchNorm {
         (&self.alpha, &self.beta)
     }
 
-    /// Applies normalization to an NCHW tensor.
+    /// Applies normalization to an NCHW tensor, writing into a preallocated
+    /// output tensor of the input's dims.
     ///
     /// # Errors
     ///
-    /// Returns [`OpError::Shape`] on rank/channel mismatch.
-    pub fn run(&self, input: &Tensor) -> Result<Tensor, OpError> {
-        let mut out = Tensor::zeros(input.dims());
-        self.run_into(input, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`BatchNorm::run`] writing into a preallocated output tensor of the
-    /// input's dims.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BatchNorm::run`], plus [`OpError::Shape`] on an output dims
-    /// mismatch.
+    /// Returns [`OpError::Shape`] on a rank, channel or output dims mismatch.
     pub fn run_into(&self, input: &Tensor, output: &mut Tensor) -> Result<(), OpError> {
         if input.dims().len() != 4 {
             return Err(ShapeError::RankMismatch {
@@ -144,11 +132,17 @@ mod tests {
         .unwrap()
     }
 
+    fn run(b: &BatchNorm, input: &Tensor) -> Result<Tensor, OpError> {
+        let mut out = Tensor::zeros(input.dims());
+        b.run_into(input, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn identity_params_pass_through() {
         let b = bn(&[1.0], &[0.0], &[0.0], &[1.0]);
         let x = Tensor::from_vec(vec![2.0, -3.0], &[1, 1, 1, 2]).unwrap();
-        let y = b.run(&x).unwrap();
+        let y = run(&b, &x).unwrap();
         for (a, e) in y.as_slice().iter().zip(x.as_slice()) {
             assert!((a - e).abs() < 1e-4);
         }
@@ -159,7 +153,7 @@ mod tests {
         // x=5, mean=3, var=4, scale=2, shift=1: y = 2*(5-3)/2 + 1 = 3.
         let b = bn(&[2.0], &[1.0], &[3.0], &[4.0]);
         let x = Tensor::full(&[1, 1, 1, 1], 5.0);
-        let y = b.run(&x).unwrap();
+        let y = run(&b, &x).unwrap();
         assert!((y.as_slice()[0] - 3.0).abs() < 1e-4);
     }
 
@@ -167,7 +161,7 @@ mod tests {
     fn per_channel_independence() {
         let b = bn(&[1.0, 10.0], &[0.0, 0.0], &[0.0, 0.0], &[1.0, 1.0]);
         let x = Tensor::ones(&[1, 2, 1, 1]);
-        let y = b.run(&x).unwrap();
+        let y = run(&b, &x).unwrap();
         assert!((y.as_slice()[0] - 1.0).abs() < 1e-4);
         assert!((y.as_slice()[1] - 10.0).abs() < 1e-3);
     }
@@ -175,8 +169,10 @@ mod tests {
     #[test]
     fn rejects_channel_mismatch() {
         let b = bn(&[1.0], &[0.0], &[0.0], &[1.0]);
-        assert!(b.run(&Tensor::zeros(&[1, 2, 1, 1])).is_err());
-        assert!(b.run(&Tensor::zeros(&[4])).is_err());
+        assert!(run(&b, &Tensor::zeros(&[1, 2, 1, 1])).is_err());
+        assert!(run(&b, &Tensor::zeros(&[4])).is_err());
+        let mut out = Tensor::zeros(&[1, 1, 1, 2]);
+        assert!(b.run_into(&Tensor::zeros(&[1, 1, 1, 1]), &mut out).is_err());
     }
 
     #[test]

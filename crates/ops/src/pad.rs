@@ -11,19 +11,22 @@ use orpheus_tensor::{ShapeError, Tensor};
 use crate::error::OpError;
 
 /// Pads a tensor with a constant, `begins[d]` elements before and
-/// `ends[d]` after each dimension `d`.
+/// `ends[d]` after each dimension `d`, writing into a preallocated output
+/// tensor of the padded dims.
 ///
 /// # Errors
 ///
 /// Returns [`OpError::Shape`] if `begins`/`ends` do not have one entry per
-/// dimension.
-pub fn pad_constant(
+/// dimension, or if `output` does not have the padded dims.
+pub fn pad_constant_into(
     input: &Tensor,
     begins: &[usize],
     ends: &[usize],
     value: f32,
-) -> Result<Tensor, OpError> {
-    let rank = input.dims().len();
+    output: &mut Tensor,
+) -> Result<(), OpError> {
+    let in_dims = input.dims();
+    let rank = in_dims.len();
     if begins.len() != rank || ends.len() != rank {
         return Err(ShapeError::RankMismatch {
             expected: rank,
@@ -31,62 +34,61 @@ pub fn pad_constant(
         }
         .into());
     }
-    let out_dims: Vec<usize> = input
-        .dims()
-        .iter()
-        .zip(begins.iter().zip(ends))
-        .map(|(&d, (&b, &e))| d + b + e)
-        .collect();
-    let mut out = Tensor::full(&out_dims, value);
+    let padded = |d: usize| in_dims[d] + begins[d] + ends[d];
+    if output.dims().len() != rank || (0..rank).any(|d| output.dims()[d] != padded(d)) {
+        return Err(ShapeError::Mismatch {
+            left: output.dims().to_vec(),
+            right: (0..rank).map(padded).collect(),
+        }
+        .into());
+    }
+    let out_data = output.as_mut_slice();
+    out_data.fill(value);
     if input.is_empty() {
-        return Ok(out);
+        return Ok(());
     }
     if rank == 0 {
         // Scalar: nothing to pad around.
-        out.as_mut_slice().copy_from_slice(input.as_slice());
-        return Ok(out);
+        out_data.copy_from_slice(input.as_slice());
+        return Ok(());
     }
     // Copy the input block row by row (last dimension contiguous).
-    let in_dims = input.dims().to_vec();
-    let row = *in_dims.last().unwrap_or(&1);
-    let n_rows = input.len() / row.max(1);
-    let in_strides: Vec<usize> = {
-        let mut s = vec![1usize; rank];
-        for i in (0..rank.saturating_sub(1)).rev() {
-            s[i] = s[i + 1] * in_dims[i + 1];
-        }
-        s
-    };
-    let out_strides: Vec<usize> = {
-        let mut s = vec![1usize; rank];
-        for i in (0..rank.saturating_sub(1)).rev() {
-            s[i] = s[i + 1] * out_dims[i + 1];
-        }
-        s
-    };
-    let in_data = input.as_slice();
-    let out_data = out.as_mut_slice();
-    for r in 0..n_rows {
-        // Decompose the row index into leading coordinates.
+    let row = in_dims[rank - 1];
+    for (r, src) in input.as_slice().chunks(row).enumerate() {
+        // Decompose the row index into leading coordinates, innermost first.
         let mut rem = r;
-        let mut in_off = 0usize;
-        let mut out_off = 0usize;
-        for d in 0..rank.saturating_sub(1) {
-            let extent: usize = in_dims[d + 1..rank - 1].iter().product();
-            let coord = rem / extent.max(1);
-            rem %= extent.max(1);
-            in_off += coord * in_strides[d];
-            out_off += (coord + begins[d]) * out_strides[d];
+        let mut out_start = begins[rank - 1];
+        let mut stride = padded(rank - 1);
+        for d in (0..rank - 1).rev() {
+            out_start += (rem % in_dims[d] + begins[d]) * stride;
+            rem /= in_dims[d];
+            stride *= padded(d);
         }
-        let out_start = out_off + begins[rank - 1];
-        out_data[out_start..out_start + row].copy_from_slice(&in_data[in_off..in_off + row]);
+        out_data[out_start..out_start + row].copy_from_slice(src);
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn pad_constant(
+        input: &Tensor,
+        begins: &[usize],
+        ends: &[usize],
+        value: f32,
+    ) -> Result<Tensor, OpError> {
+        let dims: Vec<usize> = input
+            .dims()
+            .iter()
+            .zip(begins.iter().zip(ends))
+            .map(|(&d, (&b, &e))| d + b + e)
+            .collect();
+        let mut out = Tensor::zeros(&dims);
+        pad_constant_into(input, begins, ends, value, &mut out)?;
+        Ok(out)
+    }
 
     #[test]
     fn pads_1d() {
@@ -145,5 +147,16 @@ mod tests {
         let t = Tensor::scalar(3.0);
         let out = pad_constant(&t, &[], &[], 0.0).unwrap();
         assert_eq!(out, t);
+    }
+
+    #[test]
+    fn rejects_wrong_output_dims() {
+        let t = Tensor::ones(&[2, 2]);
+        let mut out = Tensor::zeros(&[3, 3]);
+        let err = pad_constant_into(&t, &[1, 1], &[1, 1], 0.0, &mut out).unwrap_err();
+        assert!(matches!(err, OpError::Shape(_)), "{err}");
+        let mut low_rank = Tensor::zeros(&[16]);
+        let err = pad_constant_into(&t, &[1, 1], &[1, 1], 0.0, &mut low_rank).unwrap_err();
+        assert!(matches!(err, OpError::Shape(_)), "{err}");
     }
 }

@@ -85,43 +85,14 @@ impl Pool2dParams {
     }
 }
 
-/// Runs 2-D pooling over an NCHW tensor.
+/// Runs 2-D pooling over an NCHW tensor into a preallocated output tensor
+/// of the pooled dims.
 ///
 /// # Errors
 ///
-/// Returns [`OpError::Shape`] if the input is not rank 4, and
-/// [`OpError::InvalidParams`] for zero extents.
-pub fn pool2d(params: &Pool2dParams, input: &Tensor, pool: &ThreadPool) -> Result<Tensor, OpError> {
-    if input.dims().len() != 4 {
-        return Err(ShapeError::RankMismatch {
-            expected: 4,
-            actual: input.dims().len(),
-        }
-        .into());
-    }
-    if params.kernel_h == 0 || params.kernel_w == 0 || params.stride_h == 0 || params.stride_w == 0
-    {
-        return Err(OpError::InvalidParams(
-            "pooling extents and strides must be positive".into(),
-        ));
-    }
-    let [n, c, ih, iw] = [
-        input.dims()[0],
-        input.dims()[1],
-        input.dims()[2],
-        input.dims()[3],
-    ];
-    let mut output = Tensor::zeros(&[n, c, params.out_h(ih), params.out_w(iw)]);
-    pool2d_into(params, input, &mut output, pool)?;
-    Ok(output)
-}
-
-/// [`pool2d`] writing into a preallocated output tensor of the pooled dims.
-///
-/// # Errors
-///
-/// Same as [`pool2d`], plus [`OpError::Shape`] if `output` does not have the
-/// pooled output dims.
+/// Returns [`OpError::Shape`] if the input is not rank 4 or `output` does
+/// not have the pooled output dims, and [`OpError::InvalidParams`] for zero
+/// extents.
 pub fn pool2d_into(
     params: &Pool2dParams,
     input: &Tensor,
@@ -209,25 +180,7 @@ pub fn pool2d_into(
 }
 
 /// Global average pooling: collapses each `[h, w]` plane to a single value,
-/// producing `[n, c, 1, 1]`.
-///
-/// # Errors
-///
-/// Returns [`OpError::Shape`] if the input is not rank 4.
-pub fn global_average_pool(input: &Tensor, pool: &ThreadPool) -> Result<Tensor, OpError> {
-    if input.dims().len() != 4 {
-        return Err(ShapeError::RankMismatch {
-            expected: 4,
-            actual: input.dims().len(),
-        }
-        .into());
-    }
-    let mut output = Tensor::zeros(&[input.dims()[0], input.dims()[1], 1, 1]);
-    global_average_pool_into(input, &mut output, pool)?;
-    Ok(output)
-}
-
-/// [`global_average_pool`] writing into a preallocated `[n, c, 1, 1]` tensor.
+/// writing into a preallocated `[n, c, 1, 1]` tensor.
 ///
 /// # Errors
 ///
@@ -272,6 +225,19 @@ mod tests {
 
     fn pool1() -> ThreadPool {
         ThreadPool::single()
+    }
+
+    fn pool2d(params: &Pool2dParams, input: &Tensor, pool: &ThreadPool) -> Result<Tensor, OpError> {
+        let d = input.dims();
+        let mut out = Tensor::zeros(&[d[0], d[1], params.out_h(d[2]), params.out_w(d[3])]);
+        pool2d_into(params, input, &mut out, pool)?;
+        Ok(out)
+    }
+
+    fn global_average_pool(input: &Tensor, pool: &ThreadPool) -> Result<Tensor, OpError> {
+        let mut out = Tensor::zeros(&[input.dims()[0], input.dims()[1], 1, 1]);
+        global_average_pool_into(input, &mut out, pool)?;
+        Ok(out)
     }
 
     #[test]
@@ -335,15 +301,33 @@ mod tests {
 
     #[test]
     fn rejects_non_rank4() {
-        assert!(pool2d(&Pool2dParams::max(2, 2), &Tensor::zeros(&[4]), &pool1()).is_err());
-        assert!(global_average_pool(&Tensor::zeros(&[4]), &pool1()).is_err());
+        let mut out = Tensor::zeros(&[1, 1, 1, 1]);
+        let flat = Tensor::zeros(&[4]);
+        assert!(pool2d_into(&Pool2dParams::max(2, 2), &flat, &mut out, &pool1()).is_err());
+        assert!(global_average_pool_into(&flat, &mut out, &pool1()).is_err());
     }
 
     #[test]
     fn rejects_zero_stride() {
         let mut p = Pool2dParams::max(2, 2);
         p.stride_h = 0;
-        assert!(pool2d(&p, &Tensor::zeros(&[1, 1, 4, 4]), &pool1()).is_err());
+        let mut out = Tensor::zeros(&[1, 1, 2, 2]);
+        assert!(pool2d_into(&p, &Tensor::zeros(&[1, 1, 4, 4]), &mut out, &pool1()).is_err());
+    }
+
+    #[test]
+    fn rejects_wrong_output_dims() {
+        let input = Tensor::zeros(&[1, 1, 4, 4]);
+        let mut out = Tensor::zeros(&[1, 1, 3, 3]);
+        let p = Pool2dParams::max(2, 2);
+        assert!(matches!(
+            pool2d_into(&p, &input, &mut out, &pool1()),
+            Err(OpError::Shape(_))
+        ));
+        assert!(matches!(
+            global_average_pool_into(&input, &mut out, &pool1()),
+            Err(OpError::Shape(_))
+        ));
     }
 
     #[test]

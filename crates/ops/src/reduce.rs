@@ -8,17 +8,25 @@ use orpheus_tensor::{ShapeError, Tensor};
 
 use crate::error::OpError;
 
-/// Mean over the given axes.
+/// Mean over the given axes, writing into a preallocated output tensor.
 ///
-/// With `keepdims`, reduced axes stay in the shape with extent 1 (ONNX's
-/// default); otherwise they are removed (a full reduction then yields a
-/// rank-0 scalar tensor).
+/// With `keepdims`, reduced axes stay in the output shape with extent 1
+/// (ONNX's default); otherwise they are removed (a full reduction then
+/// yields a rank-0 scalar tensor).
 ///
 /// # Errors
 ///
-/// Returns [`OpError::InvalidParams`] for repeated or out-of-range axes.
-pub fn reduce_mean(input: &Tensor, axes: &[usize], keepdims: bool) -> Result<Tensor, OpError> {
-    let rank = input.dims().len();
+/// Returns [`OpError::InvalidParams`] for repeated or out-of-range axes, and
+/// [`OpError::Shape`] for an empty input or if `output` does not have the
+/// reduced dims.
+pub fn reduce_mean_into(
+    input: &Tensor,
+    axes: &[usize],
+    keepdims: bool,
+    output: &mut Tensor,
+) -> Result<(), OpError> {
+    let in_dims = input.dims();
+    let rank = in_dims.len();
     let mut reduce = vec![false; rank];
     for &a in axes {
         if a >= rank {
@@ -38,57 +46,64 @@ pub fn reduce_mean(input: &Tensor, axes: &[usize], keepdims: bool) -> Result<Ten
         }
         .into());
     }
-    let in_dims = input.dims();
-    let kept_dims: Vec<usize> = (0..rank)
-        .filter(|&d| !reduce[d])
-        .map(|d| in_dims[d])
+    let out_dims: Vec<usize> = (0..rank)
+        .filter(|&d| keepdims || !reduce[d])
+        .map(|d| if reduce[d] { 1 } else { in_dims[d] })
         .collect();
-    let out_count: usize = kept_dims.iter().product::<usize>().max(1);
+    if output.dims() != out_dims {
+        return Err(ShapeError::Mismatch {
+            left: output.dims().to_vec(),
+            right: out_dims,
+        }
+        .into());
+    }
     let reduce_count: usize = (0..rank)
         .filter(|&d| reduce[d])
         .map(|d| in_dims[d])
         .product::<usize>()
         .max(1);
-
+    // Output stride of each input axis (0 for reduced axes): kept and
+    // keepdims layouts are the same row-major order over the kept axes.
+    let mut out_strides = vec![0usize; rank];
+    let mut stride = 1usize;
+    for d in (0..rank).rev() {
+        if !reduce[d] {
+            out_strides[d] = stride;
+            stride *= in_dims[d];
+        }
+    }
     let in_strides = input.shape().strides();
-    let mut sums = vec![0.0f32; out_count];
+    let sums = output.as_mut_slice();
+    sums.fill(0.0);
     // Walk every element once, scattering into its kept-coordinates bucket.
-    let kept_strides: Vec<usize> = {
-        let mut s = vec![1usize; kept_dims.len()];
-        for i in (0..kept_dims.len().saturating_sub(1)).rev() {
-            s[i] = s[i + 1] * kept_dims[i + 1];
-        }
-        s
-    };
-    let data = input.as_slice();
-    for (flat, &x) in data.iter().enumerate() {
-        let mut out_idx = 0usize;
-        let mut kept_axis = 0usize;
-        for d in 0..rank {
-            let coord = (flat / in_strides[d]) % in_dims[d];
-            if !reduce[d] {
-                out_idx += coord * kept_strides[kept_axis];
-                kept_axis += 1;
-            }
-        }
+    for (flat, &x) in input.as_slice().iter().enumerate() {
+        let out_idx: usize = (0..rank)
+            .map(|d| (flat / in_strides[d]) % in_dims[d] * out_strides[d])
+            .sum();
         sums[out_idx] += x;
     }
-    for s in &mut sums {
+    for s in sums {
         *s /= reduce_count as f32;
     }
-    let out_dims: Vec<usize> = if keepdims {
-        (0..rank)
-            .map(|d| if reduce[d] { 1 } else { in_dims[d] })
-            .collect()
-    } else {
-        kept_dims
-    };
-    Tensor::from_vec(sums, &out_dims).map_err(Into::into)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn reduce_mean(input: &Tensor, axes: &[usize], keepdims: bool) -> Result<Tensor, OpError> {
+        let dims: Vec<usize> = input
+            .dims()
+            .iter()
+            .enumerate()
+            .filter(|(d, _)| keepdims || !axes.contains(d))
+            .map(|(d, &n)| if axes.contains(&d) { 1 } else { n })
+            .collect();
+        let mut out = Tensor::zeros(&dims);
+        reduce_mean_into(input, axes, keepdims, &mut out)?;
+        Ok(out)
+    }
 
     #[test]
     fn mean_over_last_axis() {
@@ -107,10 +122,11 @@ mod tests {
 
     #[test]
     fn spatial_reduce_matches_global_average_pool() {
-        use crate::pool::global_average_pool;
+        use crate::pool::global_average_pool_into;
         use orpheus_threads::ThreadPool;
         let t = Tensor::from_fn(&[2, 3, 4, 4], |i| ((i * 31) % 17) as f32);
-        let gap = global_average_pool(&t, &ThreadPool::single()).unwrap();
+        let mut gap = Tensor::zeros(&[2, 3, 1, 1]);
+        global_average_pool_into(&t, &mut gap, &ThreadPool::single()).unwrap();
         let rm = reduce_mean(&t, &[2, 3], true).unwrap();
         assert_eq!(rm.dims(), &[2, 3, 1, 1]);
         for (a, b) in rm.as_slice().iter().zip(gap.as_slice()) {
@@ -144,5 +160,17 @@ mod tests {
     fn rejects_empty_tensor() {
         let t = Tensor::zeros(&[0, 3]);
         assert!(reduce_mean(&t, &[0], false).is_err());
+    }
+
+    #[test]
+    fn rejects_wrong_output_dims() {
+        let t = Tensor::ones(&[2, 3, 4]);
+        // keepdims wants [2, 1, 4]; the dropped-axis shape is not accepted.
+        let mut out = Tensor::zeros(&[2, 4]);
+        let err = reduce_mean_into(&t, &[1], true, &mut out).unwrap_err();
+        assert!(matches!(err, OpError::Shape(_)), "{err}");
+        let mut out = Tensor::zeros(&[2, 3]);
+        let err = reduce_mean_into(&t, &[1], false, &mut out).unwrap_err();
+        assert!(matches!(err, OpError::Shape(_)), "{err}");
     }
 }

@@ -4,20 +4,10 @@ use orpheus_tensor::{ShapeError, Tensor};
 
 use crate::error::OpError;
 
-/// Softmax along the last axis (the class axis of a classifier head).
+/// Softmax along the last axis (the class axis of a classifier head),
+/// writing into a preallocated output tensor of the input's dims.
 ///
 /// Uses the max-subtraction trick for numerical stability.
-///
-/// # Errors
-///
-/// Returns [`OpError::Shape`] for rank-0 input.
-pub fn softmax(input: &Tensor) -> Result<Tensor, OpError> {
-    let mut out = Tensor::zeros(input.dims());
-    softmax_into(input, &mut out)?;
-    Ok(out)
-}
-
-/// [`softmax`] writing into a preallocated output tensor of the input's dims.
 ///
 /// # Errors
 ///
@@ -60,6 +50,12 @@ pub fn softmax_into(input: &Tensor, output: &mut Tensor) -> Result<(), OpError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn softmax(input: &Tensor) -> Result<Tensor, OpError> {
+        let mut out = Tensor::zeros(input.dims());
+        softmax_into(input, &mut out)?;
+        Ok(out)
+    }
 
     #[test]
     fn sums_to_one() {

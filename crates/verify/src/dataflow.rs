@@ -2,10 +2,11 @@
 //!
 //! Everything here is read-only: analyses compute facts (liveness, peak
 //! activation memory, reachability) that the verifier, the lint report, and
-//! tests consume. The liveness model mirrors the engine's executor — a value
-//! is materialized when its producer runs and reclaimed right after its last
-//! consumer — so the static peak estimate matches what
-//! `Network::run_profiled` observes, without running the model.
+//! tests consume. The liveness model mirrors the engine's session executor —
+//! a value is materialized when its producer runs and its buffer reclaimed
+//! right after its last consumer — so the static peak estimate is directly
+//! comparable with the planned arena `Network::run_profiled` reports as its
+//! peak, without running the model.
 
 use std::collections::{HashMap, HashSet};
 

@@ -1,10 +1,11 @@
-//! Edge memory budget: profile activation memory under the executor's
-//! liveness-based reclamation.
+//! Edge memory budget: profile activation memory under the session's
+//! liveness-planned arena.
 //!
 //! Edge devices (the paper's IoT boards, phones, drones) are memory-bound
-//! as often as compute-bound. The executor frees every intermediate tensor
-//! after its last consumer; this example shows what that buys on each of
-//! the paper's models.
+//! as often as compute-bound. The memory planner recycles every
+//! intermediate buffer after its last consumer, so the whole run fits in
+//! one preallocated arena; this example shows what that buys on each of the
+//! paper's models.
 //!
 //! ```sh
 //! cargo run --release --example edge_memory
@@ -40,8 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "\n'saved' = total activation bytes allocated / peak live bytes: the\n\
-         factor by which liveness-based reclamation shrinks the memory footprint."
+        "\n'saved' = total activation bytes / planned arena bytes: the factor by\n\
+         which liveness-based buffer reuse shrinks the memory footprint."
     );
     Ok(())
 }

@@ -57,8 +57,9 @@ cargo test -q -p orpheus --test plan_sanitizer
 
 echo "== zero-allocation arena executor =="
 # Counting-allocator proof that steady-state Session::run never touches the
-# heap, plus zoo-wide bit-identity vs. the legacy executor and the
-# runtime-footprint <= static-prediction pin.
+# heap, plus zoo-wide bit-identity vs. the no-reuse oracle session (the same
+# executor over a one-buffer-per-slot plan) and the runtime-footprint <=
+# static-prediction pin.
 cargo test -q -p orpheus --test zero_alloc --test planned_execution
 
 echo "== bench regression gate (release, quick budgets) =="
@@ -71,21 +72,21 @@ echo "== bench regression gate (release, quick budgets) =="
   --out "$LINT_TMP/BENCH_check.json" \
   --compare results/bench_baseline.json --budget-pct 300
 
-echo "== session-vs-legacy repeat smoke (release) =="
-# The arena executor must not regress steady-state latency: fail if its p50
-# exceeds 3x the legacy per-run allocator's (generous bound — debug-free
+echo "== session-vs-no-reuse repeat smoke (release) =="
+# Arena reuse must not regress steady-state latency: fail if the arena
+# session's p50 exceeds 3x the no-reuse session's (generous bound — debug-free
 # release numbers are typically at parity or better).
 session_p50="$(./target/release/orpheus-cli repeat --model tiny_cnn --runs 30 --warmup 5 \
   | awk '/^ *p50/ { printf "%d", $2 * 1000 }')"
-legacy_p50="$(./target/release/orpheus-cli repeat --model tiny_cnn --runs 30 --warmup 5 --legacy \
+no_reuse_p50="$(./target/release/orpheus-cli repeat --model tiny_cnn --runs 30 --warmup 5 --no-reuse \
   | awk '/^ *p50/ { printf "%d", $2 * 1000 }')"
-echo "p50: session ${session_p50}us, legacy ${legacy_p50}us"
-if [ -z "$session_p50" ] || [ -z "$legacy_p50" ]; then
+echo "p50: session ${session_p50}us, no-reuse ${no_reuse_p50}us"
+if [ -z "$session_p50" ] || [ -z "$no_reuse_p50" ]; then
   echo "FAIL: could not parse repeat p50 output" >&2
   exit 1
 fi
-if [ "$session_p50" -gt $((legacy_p50 * 3)) ]; then
-  echo "FAIL: session p50 ${session_p50}us > 3x legacy p50 ${legacy_p50}us" >&2
+if [ "$session_p50" -gt $((no_reuse_p50 * 3)) ]; then
+  echo "FAIL: session p50 ${session_p50}us > 3x no-reuse p50 ${no_reuse_p50}us" >&2
   exit 1
 fi
 

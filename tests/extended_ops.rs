@@ -100,7 +100,7 @@ fn survives_onnx_round_trip() {
 
 #[test]
 fn manual_pad_conv_equals_padded_conv() {
-    // pad_constant + unpadded conv == padded conv, at the operator level.
+    // pad_constant_into + unpadded conv == padded conv, at the operator level.
     let params_padded = Conv2dParams::square(2, 4, 3).with_padding(1, 1);
     let params_plain = Conv2dParams::square(2, 4, 3);
     let weight = Tensor::from_fn(&params_padded.weight_dims(), |i| {
@@ -113,8 +113,15 @@ fn manual_pad_conv_equals_padded_conv() {
         .unwrap()
         .run(&input, &pool)
         .unwrap();
-    let padded_input =
-        orpheus_ops::pad::pad_constant(&input, &[0, 0, 1, 1], &[0, 0, 1, 1], 0.0).unwrap();
+    let mut padded_input = Tensor::zeros(&[1, 2, 8, 8]);
+    orpheus_ops::pad::pad_constant_into(
+        &input,
+        &[0, 0, 1, 1],
+        &[0, 0, 1, 1],
+        0.0,
+        &mut padded_input,
+    )
+    .unwrap();
     let via_pad = Conv2d::new(params_plain, weight, None, ConvAlgorithm::Direct)
         .unwrap()
         .run(&padded_input, &pool)
