@@ -12,7 +12,8 @@
 //!   allocator hook).
 //! * [`BenchReport::to_json`] / [`BenchReport::from_json`] round-trip the
 //!   result through a versioned schema (`schema_version`), so baselines
-//!   committed years apart stay comparable or fail loudly.
+//!   committed years apart stay comparable or fail loudly. The artifact is
+//!   the pretty form of the shared [`JsonValue`] serializer.
 //! * [`compare`] applies noise-aware thresholds: latency compares
 //!   median-of-round-medians against a configurable percentage budget
 //!   (machines differ; wall time jitters), while arena bytes and
@@ -453,94 +454,67 @@ fn bench_model(config: &BenchConfig, model: ModelKind) -> Result<ModelBench, Eng
 }
 
 impl BenchReport {
-    /// Serializes the report as pretty-printed JSON (the `BENCH_*.json`
-    /// artifact format).
-    pub fn to_json(&self) -> String {
-        use orpheus_observe::json::escape;
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"schema_version\": {},\n  \"git_sha\": \"{}\",\n  \"scale\": \"{}\",\n",
-            self.schema_version,
-            escape(&self.git_sha),
-            escape(&self.scale)
-        ));
-        out.push_str(&format!(
-            "  \"threads\": {},\n  \"warmup\": {},\n  \"iters\": {},\n  \"rounds\": {},\n",
-            self.threads, self.warmup, self.iters, self.rounds
-        ));
-        match &self.serve {
-            Some(s) => out.push_str(&format!(
-                "  \"serve\": {{\"model\": \"{}\", \"requests\": {}, \"clients\": {}, \"workers\": {}, \"max_batch\": {}, \"batched_rps\": {:.1}, \"serial_rps\": {:.1}, \"batched_runs\": {}, \"batched_requests\": {}}},\n",
-                escape(&s.model),
-                s.requests,
-                s.clients,
-                s.workers,
-                s.max_batch,
-                s.batched_rps,
-                s.serial_rps,
-                s.batched_runs,
-                s.batched_requests
-            )),
-            None => out.push_str("  \"serve\": null,\n"),
-        }
-        out.push_str("  \"models\": [\n");
-        for (i, m) in self.models.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!(
-                "      \"model\": \"{}\",\n      \"input_hw\": {},\n      \"layers\": {},\n      \"flops\": {},\n      \"gemm_isa\": \"{}\",\n",
-                escape(&m.model), m.input_hw, m.layers, m.flops, escape(&m.gemm_isa)
-            ));
-            out.push_str(&format!("      \"latency_us\": {},\n", m.latency.to_json()));
-            out.push_str(&format!(
-                "      \"p50_median_us\": {},\n      \"round_p50s_us\": [{}],\n",
-                m.p50_median_us,
-                m.round_p50s_us
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-            out.push_str(&format!(
-                "      \"arena_planned_bytes\": {},\n      \"arena_measured_bytes\": {},\n",
-                m.arena_planned_bytes, m.arena_measured_bytes
-            ));
-            match m.steady_allocs_per_run {
-                Some(n) => out.push_str(&format!("      \"steady_allocs_per_run\": {n},\n")),
-                None => out.push_str("      \"steady_allocs_per_run\": null,\n"),
-            }
-            out.push_str("      \"batched\": [\n");
-            for (j, row) in m.batched.iter().enumerate() {
-                out.push_str(&format!(
-                    "        {{\"batch\": {}, \"p50_us\": {}, \"arena_planned_bytes\": {}}}{}\n",
-                    row.batch,
-                    row.p50_us,
-                    row.arena_planned_bytes,
-                    if j + 1 < m.batched.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("      ],\n");
-            out.push_str("      \"attribution\": [\n");
-            for (j, row) in m.attribution.iter().enumerate() {
-                out.push_str(&format!(
-                    "        {{\"name\": \"{}\", \"op\": \"{}\", \"implementation\": \"{}\", \"count\": {}, \"total_us\": {:.3}, \"self_us\": {:.3}}}{}\n",
-                    escape(&row.name),
-                    escape(&row.op),
-                    escape(&row.implementation),
-                    row.count,
-                    row.total_us,
-                    row.self_us,
-                    if j + 1 < m.attribution.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("      ]\n");
-            out.push_str(&format!(
-                "    }}{}\n",
-                if i + 1 < self.models.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+    /// The report as a JSON tree: the `BENCH_*.json` artifact, written
+    /// pretty-printed.
+    pub fn to_json(&self) -> JsonValue {
+        let serve = self.serve.as_ref().map(|s| {
+            JsonValue::obj([
+                ("model", s.model.as_str().into()),
+                ("requests", s.requests.into()),
+                ("clients", s.clients.into()),
+                ("workers", s.workers.into()),
+                ("max_batch", s.max_batch.into()),
+                ("batched_rps", s.batched_rps.into()),
+                ("serial_rps", s.serial_rps.into()),
+                ("batched_runs", s.batched_runs.into()),
+                ("batched_requests", s.batched_requests.into()),
+            ])
+        });
+        let model = |m: &ModelBench| {
+            let batched = m.batched.iter().map(|row| {
+                JsonValue::obj([
+                    ("batch", row.batch.into()),
+                    ("p50_us", row.p50_us.into()),
+                    ("arena_planned_bytes", row.arena_planned_bytes.into()),
+                ])
+            });
+            let attribution = m.attribution.iter().map(|row| {
+                JsonValue::obj([
+                    ("name", row.name.as_str().into()),
+                    ("op", row.op.as_str().into()),
+                    ("implementation", row.implementation.as_str().into()),
+                    ("count", row.count.into()),
+                    ("total_us", row.total_us.into()),
+                    ("self_us", row.self_us.into()),
+                ])
+            });
+            JsonValue::obj([
+                ("model", m.model.as_str().into()),
+                ("input_hw", m.input_hw.into()),
+                ("layers", m.layers.into()),
+                ("flops", m.flops.into()),
+                ("gemm_isa", m.gemm_isa.as_str().into()),
+                ("latency_us", m.latency.to_json()),
+                ("p50_median_us", m.p50_median_us.into()),
+                ("round_p50s_us", m.round_p50s_us.iter().copied().collect()),
+                ("arena_planned_bytes", m.arena_planned_bytes.into()),
+                ("arena_measured_bytes", m.arena_measured_bytes.into()),
+                ("steady_allocs_per_run", m.steady_allocs_per_run.into()),
+                ("batched", batched.collect()),
+                ("attribution", attribution.collect()),
+            ])
+        };
+        JsonValue::obj([
+            ("schema_version", self.schema_version.into()),
+            ("git_sha", self.git_sha.as_str().into()),
+            ("scale", self.scale.as_str().into()),
+            ("threads", self.threads.into()),
+            ("warmup", self.warmup.into()),
+            ("iters", self.iters.into()),
+            ("rounds", self.rounds.into()),
+            ("serve", serve.into()),
+            ("models", self.models.iter().map(model).collect()),
+        ])
     }
 
     /// Parses a serialized report.
@@ -916,6 +890,23 @@ mod tests {
         run_bench(&config).unwrap()
     }
 
+    /// `json` re-serialized with every `key` member removed, at any depth.
+    fn without_member(json: &str, key: &str) -> String {
+        fn drop(value: &mut JsonValue, key: &str) {
+            match value {
+                JsonValue::Obj(members) => {
+                    members.retain(|(k, _)| k != key);
+                    members.iter_mut().for_each(|(_, v)| drop(v, key));
+                }
+                JsonValue::Arr(items) => items.iter_mut().for_each(|v| drop(v, key)),
+                _ => {}
+            }
+        }
+        let mut tree = JsonValue::parse(json).unwrap();
+        drop(&mut tree, key);
+        format!("{tree:#}")
+    }
+
     #[test]
     fn serve_probe_measures_and_round_trips() {
         let config = BenchConfig {
@@ -933,7 +924,7 @@ mod tests {
         assert!(serve.batched_runs > 0, "batched campaign never coalesced");
         assert!(serve.batched_requests >= serve.batched_runs);
 
-        let json = report.to_json();
+        let json = format!("{:#}", report.to_json());
         let back = BenchReport::from_json(&json).unwrap();
         let bs = back.serve.expect("serve block must round-trip");
         assert_eq!(bs.model, serve.model);
@@ -942,7 +933,7 @@ mod tests {
         assert!((bs.serial_rps - serve.serial_rps).abs() < 0.1);
 
         // A baseline without the block parses to None and compares clean.
-        let legacy = json.replacen("  \"serve\": {", "  \"ignored\": {", 1);
+        let legacy = without_member(&json, "serve");
         let old = BenchReport::from_json(&legacy).unwrap();
         assert!(old.serve.is_none());
         assert!(compare(&report, &old, &CompareBudgets::default()).is_empty());
@@ -973,8 +964,12 @@ mod tests {
         assert!(m.batched.iter().all(|r| r.p50_us > 0));
         assert_eq!(m.batched[0].arena_planned_bytes, m.arena_planned_bytes);
 
-        let json = report.to_json();
-        assert!(json.contains("\"schema_version\": 1"));
+        let json = format!("{:#}", report.to_json());
+        let tree = JsonValue::parse(&json).unwrap();
+        assert_eq!(
+            tree.get("schema_version").and_then(JsonValue::as_u64),
+            Some(SCHEMA_VERSION)
+        );
         let back = BenchReport::from_json(&json).unwrap();
         assert_eq!(back.git_sha, "testsha");
         assert_eq!(back.models.len(), 1);
@@ -993,11 +988,9 @@ mod tests {
     #[test]
     fn pre_batching_baselines_still_parse_and_compare() {
         let report = tiny_report();
-        let json = report.to_json();
+        let json = format!("{:#}", report.to_json());
         // Simulate a baseline written before the "batched" field existed.
-        let start = json.find("      \"batched\": [").unwrap();
-        let end = json[start..].find("],\n").unwrap() + start + 3;
-        let legacy = format!("{}{}", &json[..start], &json[end..]);
+        let legacy = without_member(&json, "batched");
         let back = BenchReport::from_json(&legacy).unwrap();
         assert!(back.models[0].batched.is_empty());
         // Asymmetric batched coverage is never a regression by itself.
@@ -1107,5 +1100,128 @@ mod tests {
         assert!(text.contains("TinyCNN"));
         assert!(text.contains("p50 (ms)"));
         assert!(text.contains("testsha"));
+    }
+
+    #[test]
+    fn committed_baselines_load_and_self_compare_clean() {
+        let baselines = [
+            (
+                "bench_baseline.json",
+                include_str!("../../../results/bench_baseline.json"),
+            ),
+            (
+                "BENCH_1e764db.json",
+                include_str!("../../../results/BENCH_1e764db.json"),
+            ),
+        ];
+        let budgets = CompareBudgets::default();
+        for (name, text) in baselines {
+            let report = BenchReport::from_json(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(!report.models.is_empty(), "{name}");
+            assert_eq!(compare(&report, &report, &budgets), vec![], "{name}");
+            // Rewritten by this build's serializer, it still compares clean.
+            let rewritten = BenchReport::from_json(&format!("{:#}", report.to_json())).unwrap();
+            assert_eq!(compare(&rewritten, &report, &budgets), vec![], "{name}");
+        }
+    }
+
+    #[test]
+    fn every_cli_artifact_parses_back() {
+        let mut report = tiny_report();
+        report.serve = Some(ServeBench {
+            model: "TinyCNN".into(),
+            requests: 160,
+            clients: 16,
+            workers: 2,
+            max_batch: 8,
+            batched_rps: 1234.5,
+            serial_rps: 1000.25,
+            batched_runs: 10,
+            batched_requests: 40,
+        });
+        let model = report.to_json().get("models").unwrap().as_array().unwrap()[0].clone();
+        let latency = report.models[0].latency.to_json();
+        // (artifact, tree, every key in schema order)
+        let cases: [(&str, JsonValue, &[&str]); 4] = [
+            (
+                "bench",
+                report.to_json(),
+                &[
+                    "schema_version",
+                    "git_sha",
+                    "scale",
+                    "threads",
+                    "warmup",
+                    "iters",
+                    "rounds",
+                    "serve",
+                    "models",
+                ],
+            ),
+            (
+                "bench serve",
+                report.to_json().get("serve").unwrap().clone(),
+                &[
+                    "model",
+                    "requests",
+                    "clients",
+                    "workers",
+                    "max_batch",
+                    "batched_rps",
+                    "serial_rps",
+                    "batched_runs",
+                    "batched_requests",
+                ],
+            ),
+            (
+                "bench model",
+                model,
+                &[
+                    "model",
+                    "input_hw",
+                    "layers",
+                    "flops",
+                    "gemm_isa",
+                    "latency_us",
+                    "p50_median_us",
+                    "round_p50s_us",
+                    "arena_planned_bytes",
+                    "arena_measured_bytes",
+                    "steady_allocs_per_run",
+                    "batched",
+                    "attribution",
+                ],
+            ),
+            (
+                "latency",
+                latency,
+                &[
+                    "runs", "min_us", "p50_us", "p90_us", "p99_us", "max_us", "mean_us",
+                ],
+            ),
+        ];
+        for (artifact, tree, keys) in cases {
+            for text in [tree.to_string(), format!("{tree:#}")] {
+                let back = JsonValue::parse(&text)
+                    .unwrap_or_else(|e| panic!("{artifact} does not parse: {e}"));
+                assert_eq!(back, tree, "{artifact} round trip");
+                let JsonValue::Obj(members) = &back else {
+                    panic!("{artifact} is not an object");
+                };
+                let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(names, keys, "{artifact} keys");
+            }
+        }
+        let back = BenchReport::from_json(&format!("{:#}", report.to_json())).unwrap();
+        let serve = back.serve.unwrap();
+        assert_eq!((serve.batched_rps, serve.serial_rps), (1234.5, 1000.25));
+        let (m, bm) = (&report.models[0], &back.models[0]);
+        assert_eq!(bm.latency.mean_us, m.latency.mean_us);
+        assert_eq!(bm.latency.runs, m.latency.runs);
+        assert_eq!(bm.steady_allocs_per_run, None);
+        assert_eq!(
+            bm.attribution, m.attribution,
+            "float digits round-trip exactly"
+        );
     }
 }

@@ -21,6 +21,7 @@ use std::time::Instant;
 
 use orpheus::{Engine, EngineError, MemoryStats, Personality, CAPABILITY_CRITERIA};
 use orpheus_models::{build_model_with_input, ModelKind};
+use orpheus_observe::json::JsonValue;
 use orpheus_tensor::Tensor;
 
 /// How the experiment scales model inputs.
@@ -842,13 +843,18 @@ impl LatencyStats {
         }
     }
 
-    /// Serializes the stats as a JSON object (microsecond fields, matching
-    /// the `BENCH_*.json` schema's `latency_us` objects).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"runs\": {}, \"min_us\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}, \"mean_us\": {:.3}}}",
-            self.runs, self.min_us, self.p50_us, self.p90_us, self.p99_us, self.max_us, self.mean_us
-        )
+    /// The stats as a JSON object (microsecond fields, matching the
+    /// `BENCH_*.json` schema's `latency_us` objects).
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("runs", self.runs.into()),
+            ("min_us", self.min_us.into()),
+            ("p50_us", self.p50_us.into()),
+            ("p90_us", self.p90_us.into()),
+            ("p99_us", self.p99_us.into()),
+            ("max_us", self.max_us.into()),
+            ("mean_us", self.mean_us.into()),
+        ])
     }
 
     /// Renders the latency summary table (milliseconds).
@@ -1220,10 +1226,15 @@ mod observe_tests {
         assert!(report.latency.p99_us >= report.latency.p50_us);
         // The per-layer table covers exactly one pass over the network.
         assert_eq!(report.profile.timings.len(), layers);
-        let json = report.metrics.to_json();
-        assert!(json.contains("run.latency_us"));
-        assert!(!report.trace.to_chrome_trace().is_empty());
-        assert!(report.trace.to_json_lines().lines().count() == t.len());
+        let json = JsonValue::parse(&format!("{:#}", report.metrics.to_json())).unwrap();
+        let histograms = json.get("histograms").unwrap();
+        assert!(histograms.get("run.latency_us").is_some());
+        let chrome = JsonValue::parse(&report.trace.to_chrome_trace().to_string()).unwrap();
+        assert_eq!(chrome.as_array().unwrap().len(), t.len());
+        for span in &t.spans {
+            let line = JsonValue::parse(&span.to_json().to_string()).unwrap();
+            assert_eq!(line.get("id").unwrap().as_u64(), Some(span.id));
+        }
     }
 
     #[test]

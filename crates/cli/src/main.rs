@@ -44,6 +44,7 @@ use orpheus_cli::{
 };
 use orpheus_graph::passes::PassManager;
 use orpheus_models::{build_model, ModelKind};
+use orpheus_observe::{json::JsonValue, FlightEvent, SpanRecord};
 
 // Counting allocator: lets `bench` report steady-state allocations per run
 // (the session executor's contract is zero). The library crate forbids
@@ -201,7 +202,8 @@ fn run(argv: &[String]) -> Result<(), String> {
                 .value("--out")
                 .map(str::to_string)
                 .unwrap_or_else(|| bench_filename(&config.git_sha));
-            std::fs::write(&out, report.to_json()).map_err(|e| format!("writing {out:?}: {e}"))?;
+            std::fs::write(&out, format!("{:#}\n", report.to_json()))
+                .map_err(|e| format!("writing {out:?}: {e}"))?;
             println!(
                 "bench report written to {out} (schema v{})",
                 report.schema_version
@@ -363,7 +365,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             if let Some(path) = args.value("--trace") {
                 let profile =
                     profile_model(personality, model, hw, threads).map_err(|e| e.to_string())?;
-                std::fs::write(path, profile.to_chrome_trace())
+                std::fs::write(path, format!("{}\n", profile.to_chrome_trace()))
                     .map_err(|e| format!("writing {path:?}: {e}"))?;
                 println!("chrome trace written to {path} (open in chrome://tracing)");
             }
@@ -718,6 +720,11 @@ fn personality_or_default(args: &Args) -> Result<Personality, String> {
     }
 }
 
+/// One compact JSON object per line.
+fn json_lines(values: impl Iterator<Item = JsonValue>) -> String {
+    values.map(|v| format!("{v}\n")).collect()
+}
+
 /// Writes whichever of `--trace-out` (Chrome trace), `--events-out` (JSON
 /// lines), `--metrics-out` (metrics summary JSON), `--openmetrics-out`
 /// (OpenMetrics/Prometheus text), and `--flight-out` (flight-recorder JSON
@@ -728,17 +735,21 @@ fn write_observability(
     metrics: &orpheus_observe::MetricsSnapshot,
 ) -> Result<(), String> {
     if let Some(path) = args.value("--trace-out") {
-        std::fs::write(path, trace.to_chrome_trace())
+        std::fs::write(path, format!("{}\n", trace.to_chrome_trace()))
             .map_err(|e| format!("writing {path:?}: {e}"))?;
         println!("trace written to {path} (load in https://ui.perfetto.dev or chrome://tracing)");
     }
     if let Some(path) = args.value("--events-out") {
-        std::fs::write(path, trace.to_json_lines())
-            .map_err(|e| format!("writing {path:?}: {e}"))?;
+        std::fs::write(
+            path,
+            json_lines(trace.spans.iter().map(SpanRecord::to_json)),
+        )
+        .map_err(|e| format!("writing {path:?}: {e}"))?;
         println!("span events written to {path} (one JSON object per line)");
     }
     if let Some(path) = args.value("--metrics-out") {
-        std::fs::write(path, metrics.to_json()).map_err(|e| format!("writing {path:?}: {e}"))?;
+        std::fs::write(path, format!("{:#}\n", metrics.to_json()))
+            .map_err(|e| format!("writing {path:?}: {e}"))?;
         println!("metrics written to {path}");
     }
     if let Some(path) = args.value("--openmetrics-out") {
@@ -748,7 +759,7 @@ fn write_observability(
     }
     if let Some(path) = args.value("--flight-out") {
         let events = orpheus_observe::flight_snapshot();
-        std::fs::write(path, orpheus_observe::flight_to_json_lines(&events))
+        std::fs::write(path, json_lines(events.iter().map(FlightEvent::to_json)))
             .map_err(|e| format!("writing {path:?}: {e}"))?;
         println!(
             "flight recorder written to {path} ({} event(s), one JSON object per line)",

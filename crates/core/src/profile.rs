@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use orpheus_observe::{json::escape, Trace};
+use orpheus_observe::{chrome_event, json::JsonValue, Trace};
 
 /// Activation-memory statistics of one network run, read off the memory
 /// plan the run executed (see [`MemoryPlan::stats`](crate::MemoryPlan::stats)).
@@ -72,8 +72,10 @@ impl Profile {
     /// [`LayerTiming`], the enclosing session `"run"` span (when present)
     /// provides the end-to-end total. Memory statistics are not recoverable
     /// from a trace and are left at their defaults; callers holding the
-    /// network fill them from its memory plan.
+    /// network fill them from its memory plan. Span fields are public, so a
+    /// negative or NaN duration reads as zero rather than panicking.
     pub fn from_trace(trace: &Trace) -> Profile {
+        let duration = |us: f64| Duration::try_from_secs_f64(us / 1e6).unwrap_or_default();
         let mut timings: Vec<(f64, LayerTiming)> = trace
             .by_category("layer")
             .map(|span| {
@@ -85,17 +87,17 @@ impl Profile {
                         implementation: Trace::attr_str(span, "implementation")
                             .unwrap_or("?")
                             .to_string(),
-                        duration: Duration::from_secs_f64(span.dur_us / 1e6),
+                        duration: duration(span.dur_us),
                         flops: Trace::attr_int(span, "flops").unwrap_or(0).max(0) as u64,
                     },
                 )
             })
             .collect();
-        timings.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite timestamps"));
+        timings.sort_by(|a, b| a.0.total_cmp(&b.0));
         let total = trace
             .by_category("session")
             .filter(|s| s.name == "run")
-            .map(|s| Duration::from_secs_f64(s.dur_us / 1e6))
+            .map(|s| duration(s.dur_us))
             .max()
             .unwrap_or_else(|| timings.iter().map(|(_, t)| t.duration).sum());
         Profile {
@@ -130,33 +132,24 @@ impl Profile {
         self.timings.iter().map(|t| t.flops).sum()
     }
 
-    /// Serializes the profile in Chrome trace-event format (load the file at
-    /// `chrome://tracing` or in Perfetto). Layers appear as back-to-back
-    /// complete events on one track.
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("[");
+    /// The profile in Chrome trace-event format (load the file at
+    /// `chrome://tracing` or in Perfetto): layers laid out as back-to-back
+    /// complete events on one track, each categorized by its operator.
+    pub fn to_chrome_trace(&self) -> JsonValue {
         let mut ts_us = 0.0f64;
-        for (i, t) in self.timings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let dur_us = t.duration.as_secs_f64() * 1e6;
-            let gflops = t
-                .gflops()
-                .map(|g| format!("{g:.3}"))
-                .unwrap_or_else(|| "null".into());
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{ts_us:.3},\
-                 \"dur\":{dur_us:.3},\"pid\":0,\"tid\":0,\
-                 \"args\":{{\"implementation\":\"{}\",\"gflops\":{gflops}}}}}",
-                escape(&t.name),
-                escape(&t.op),
-                escape(&t.implementation),
-            ));
-            ts_us += dur_us;
-        }
-        out.push(']');
-        out
+        self.timings
+            .iter()
+            .map(|t| {
+                let dur_us = t.duration.as_secs_f64() * 1e6;
+                let args = JsonValue::obj([
+                    ("implementation", t.implementation.as_str().into()),
+                    ("gflops", t.gflops().into()),
+                ]);
+                let event = chrome_event(&t.name, &t.op, ts_us, dur_us, 0, args);
+                ts_us += dur_us;
+                event
+            })
+            .collect()
     }
 
     /// Renders a per-layer table (the CLI's `layers` view).
@@ -262,13 +255,33 @@ mod tests {
             total: Duration::from_micros(105),
             memory: MemoryStats::default(),
         };
-        let json = p.to_chrome_trace();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("conv \\\"0\\\"")); // quotes escaped
-        assert!(json.contains("\"gflops\":null")); // unknown flops
-                                                   // Events are back-to-back: second ts == first dur.
-        assert!(json.contains("\"ts\":100.000"));
+        let text = p.to_chrome_trace().to_string();
+        assert!(text.contains("conv \\\"0\\\"")); // quotes escaped
+        let events = JsonValue::parse(&text).unwrap();
+        let events = events.as_array().unwrap();
+        assert_eq!(events.len(), 2);
+        let JsonValue::Obj(members) = &events[0] else {
+            panic!("event is not an object");
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["name", "cat", "ph", "ts", "dur", "pid", "tid", "args"]
+        );
+        let field = |i: usize, key: &str| events[i].get(key).unwrap().clone();
+        assert_eq!(field(0, "name").as_str(), Some("conv \"0\""));
+        assert_eq!(field(0, "cat").as_str(), Some("Conv"));
+        assert_eq!(field(0, "ph").as_str(), Some("X"));
+        assert_eq!(
+            field(0, "args").get("implementation").unwrap().as_str(),
+            Some("x")
+        );
+        // Unknown flops.
+        assert_eq!(field(1, "args").get("gflops"), Some(&JsonValue::Null));
+        // Events are back-to-back: second ts == first dur.
+        assert_eq!(field(0, "ts").as_f64(), Some(0.0));
+        assert_eq!(field(1, "ts").as_f64(), field(0, "dur").as_f64());
+        assert_eq!(field(1, "ts").as_f64(), Some(100.0));
     }
 
     #[test]
@@ -278,7 +291,7 @@ mod tests {
             total: Duration::from_micros(10),
             memory: MemoryStats::default(),
         };
-        let json = p.to_chrome_trace();
+        let json = p.to_chrome_trace().to_string();
         assert!(json.contains("line\\nbreak\\u0001"));
         assert!(!json.contains('\n'));
     }
@@ -363,6 +376,34 @@ mod tests {
         assert_eq!(p.timings[0].implementation, "?");
         assert_eq!(p.total, Duration::from_micros(120));
         assert_eq!(p.total_flops(), 2_000_000);
+    }
+
+    #[test]
+    fn trace_sorts_survive_nan_times() {
+        use orpheus_observe::{AttrValue, Attribution, SpanRecord};
+        let layer = |id, start_us, dur_us| SpanRecord {
+            id,
+            parent: None,
+            name: format!("layer_{id}"),
+            category: "layer",
+            start_us,
+            dur_us,
+            tid: 0,
+            attrs: vec![("implementation", AttrValue::Str("gemm".into()))],
+        };
+        let trace = Trace {
+            spans: vec![
+                layer(1, f64::NAN, 5.0),
+                layer(2, 1.0, f64::NAN),
+                layer(3, 0.0, 2.0),
+            ],
+        };
+        let events = trace.to_chrome_trace();
+        assert_eq!(events.as_array().map(<[_]>::len), Some(3));
+        assert_eq!(Profile::from_trace(&trace).timings.len(), 3);
+        let attribution = Attribution::from_trace(&trace, "layer");
+        assert_eq!(attribution.rows.len(), 3);
+        assert_eq!(attribution.by_algorithm().len(), 1);
     }
 
     #[test]

@@ -76,11 +76,7 @@ impl Attribution {
             row.self_us += (span.dur_us - children).max(0.0);
         }
         let mut rows: Vec<AttributionRow> = rows.into_values().collect();
-        rows.sort_by(|a, b| {
-            b.total_us
-                .partial_cmp(&a.total_us)
-                .expect("durations are finite")
-        });
+        rows.sort_by(|a, b| b.total_us.total_cmp(&a.total_us));
         Attribution { rows }
     }
 
@@ -99,7 +95,7 @@ impl Attribution {
             .into_iter()
             .map(|(k, (c, t, s))| (k.to_string(), c, t, s))
             .collect();
-        out.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("durations are finite"));
+        out.sort_by(|a, b| b.2.total_cmp(&a.2));
         out
     }
 

@@ -25,7 +25,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::json::escape_into;
+use crate::json::JsonValue;
 use crate::recorder::thread_ordinal;
 
 /// Number of events the ring retains.
@@ -143,22 +143,18 @@ pub fn flight_render(events: &[FlightEvent]) -> String {
     out
 }
 
-/// Renders events as JSON lines (one object per event).
-pub fn flight_to_json_lines(events: &[FlightEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&format!(
-            "{{\"seq\": {}, \"at_us\": {:.3}, \"tid\": {}, \"category\": \"",
-            e.seq, e.at_us, e.tid
-        ));
-        escape_into(&mut out, e.category);
-        out.push_str("\", \"label\": \"");
-        escape_into(&mut out, &e.label);
-        out.push_str("\", \"detail\": \"");
-        escape_into(&mut out, &e.detail);
-        out.push_str("\"}\n");
+impl FlightEvent {
+    /// The event as one JSON-lines object.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("seq", self.seq.into()),
+            ("at_us", self.at_us.into()),
+            ("tid", self.tid.into()),
+            ("category", self.category.into()),
+            ("label", self.label.as_str().into()),
+            ("detail", self.detail.as_str().into()),
+        ])
     }
-    out
 }
 
 #[cfg(test)]
@@ -241,10 +237,19 @@ mod tests {
         let events = flight_snapshot();
         let text = flight_render(&events);
         assert!(text.contains("render.weird"));
-        let json = flight_to_json_lines(&events);
-        assert!(json.contains(r#"\"label\""#));
-        assert!(json.contains("line\\nbreak"));
-        assert_eq!(json.lines().count(), events.len());
+        let lines: Vec<JsonValue> = events
+            .iter()
+            .map(|e| JsonValue::parse(&e.to_json().to_string()).unwrap())
+            .collect();
+        for (event, json) in events.iter().zip(&lines) {
+            assert_eq!(json.get("seq").unwrap().as_u64(), Some(event.seq));
+        }
+        let json = lines
+            .iter()
+            .find(|j| j.get("category").unwrap().as_str() == Some("render"))
+            .unwrap();
+        assert_eq!(json.get("label").unwrap().as_str(), Some("weird \"label\""));
+        assert_eq!(json.get("detail").unwrap().as_str(), Some("line\nbreak"));
         flight_clear();
     }
 

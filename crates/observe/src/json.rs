@@ -1,48 +1,43 @@
-//! Minimal JSON support shared by every exporter in the workspace.
+//! The workspace's one JSON writer and one JSON reader, both on [`JsonValue`].
 //!
-//! The Chrome-trace and JSON-lines writers emit hand-rolled JSON (the
-//! workspace carries no serde), so they all funnel string data through this
-//! one escaper. It covers the full set RFC 8259 requires: backslash, quote,
-//! and every ASCII control character (named escapes where JSON has them,
-//! `\u00XX` otherwise).
+//! Every JSON artifact (bench and lint reports, traces, metrics, flight
+//! dumps, profiles) builds a `JsonValue` tree and prints it with `Display`:
+//! `{}` is compact, `{:#}` pretty-prints with a 2-space indent. Escaping
+//! (RFC 8259: quote, backslash, every control character), separators and
+//! numbers are decided only here. Numbers print in shortest round-trip form
+//! (integral values without a fraction); JSON has no NaN or infinity, so
+//! non-finite numbers print as `null`.
 //!
-//! The module also carries [`JsonValue`], a small recursive-descent JSON
-//! *reader* — enough for tools that must consume the workspace's own JSON
-//! artifacts back (notably `orpheus-cli bench --compare`, which reads a
-//! committed `BENCH_*.json` baseline). It parses the full RFC 8259 grammar
-//! with a bounded nesting depth; numbers come back as `f64` (exact for the
-//! integer ranges these artifacts use).
+//! [`JsonValue::parse`] reads the full RFC 8259 grammar back with a bounded
+//! nesting depth (notably for `orpheus-cli bench --compare`); numbers come
+//! back as `f64`, exact for the integer ranges these artifacts use.
 
-/// Appends `s` to `out` with JSON string escaping (no surrounding quotes).
-pub fn escape_into(out: &mut String, s: &str) {
+use std::fmt::{self, Write as _};
+
+/// Writes `s` as a quoted JSON string.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            '\u{08}' => f.write_str("\\b")?,
+            '\u{0c}' => f.write_str("\\f")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => f.write_char(c)?,
         }
     }
-}
-
-/// Returns `s` with JSON string escaping applied (no surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
+    f.write_char('"')
 }
 
 /// Maximum array/object nesting [`JsonValue::parse`] accepts.
 const MAX_DEPTH: usize = 64;
 
-/// A parsed JSON document.
+/// A JSON document: what emitters build, `Display` prints and
+/// [`JsonValue::parse`] returns.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -121,6 +116,86 @@ impl JsonValue {
             JsonValue::Arr(items) => Some(items),
             _ => None,
         }
+    }
+
+    /// An object from `(key, value)` members, in order.
+    pub fn obj<'k>(members: impl IntoIterator<Item = (&'k str, JsonValue)>) -> JsonValue {
+        let members = members.into_iter().map(|(k, v)| (k.to_string(), v));
+        JsonValue::Obj(members.collect())
+    }
+
+    /// The one serializer: compact when `indent` is `None`, otherwise
+    /// pretty-printed with `indent` levels of 2-space indentation open.
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: Option<usize>) -> fmt::Result {
+        let (open, close, entries): (char, char, Vec<(Option<&str>, &JsonValue)>) = match self {
+            JsonValue::Null => return f.write_str("null"),
+            JsonValue::Bool(b) => return write!(f, "{b}"),
+            JsonValue::Num(n) if n.is_finite() => return write!(f, "{n}"),
+            JsonValue::Num(_) => return f.write_str("null"),
+            JsonValue::Str(s) => return write_escaped(f, s),
+            JsonValue::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            JsonValue::Obj(members) => (
+                '{',
+                '}',
+                members.iter().map(|(k, v)| (Some(&**k), v)).collect(),
+            ),
+        };
+        let level = indent.unwrap_or(0);
+        let newline = |f: &mut fmt::Formatter<'_>, level: usize| match indent {
+            Some(_) if !entries.is_empty() => write!(f, "\n{:1$}", "", 2 * level),
+            _ => Ok(()),
+        };
+        f.write_char(open)?;
+        for (i, (key, value)) in entries.iter().enumerate() {
+            if i > 0 {
+                f.write_char(',')?;
+            }
+            newline(f, level + 1)?;
+            if let Some(key) = key {
+                write_escaped(f, key)?;
+                f.write_str(if indent.is_some() { ": " } else { ":" })?;
+            }
+            value.write(f, indent.map(|level| level + 1))?;
+        }
+        newline(f, level)?;
+        f.write_char(close)
+    }
+}
+
+/// Compact JSON by default; the alternate form (`{:#}`) pretty-prints with
+/// a 2-space indent.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, f.alternate().then_some(0))
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::Str(s.to_string())
+    }
+}
+
+macro_rules! json_num_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            fn from(n: $t) -> Self {
+                JsonValue::Num(n as f64)
+            }
+        }
+    )*};
+}
+json_num_from!(f64, i64, u64, usize);
+
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(JsonValue::Null, Into::into)
+    }
+}
+
+impl<T: Into<JsonValue>> FromIterator<T> for JsonValue {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        JsonValue::Arr(iter.into_iter().map(Into::into).collect())
     }
 }
 
@@ -262,61 +337,70 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Parses a `open ... close` container whose comma-separated elements
+    /// `element` consumes one at a time.
+    fn container(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut element: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(open)?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(JsonValue::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            element(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
+                Some(b) if b == close => {
                     self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
+                    return Ok(());
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                _ => {
+                    let close = close as char;
+                    return Err(format!("expected ',' or {close:?} at byte {}", self.pos));
+                }
             }
         }
     }
 
+    fn array(&mut self, depth: usize) -> Result<JsonValue, String> {
+        let mut items = Vec::new();
+        self.container(b'[', b']', |p| {
+            items.push(p.value(depth + 1)?);
+            Ok(())
+        })?;
+        Ok(JsonValue::Arr(items))
+    }
+
     fn object(&mut self, depth: usize) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
         let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(members));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
+        self.container(b'{', b'}', |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            members.push((key, p.value(depth + 1)?));
+            Ok(())
+        })?;
+        Ok(JsonValue::Obj(members))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `s` through the writer's string escaping, without the quotes.
+    fn escape(s: &str) -> String {
+        let quoted = JsonValue::from(s).to_string();
+        quoted[1..quoted.len() - 1].to_string()
+    }
 
     #[test]
     fn passes_plain_text_through() {
@@ -342,5 +426,73 @@ mod tests {
     #[test]
     fn keeps_non_ascii_intact() {
         assert_eq!(escape("café λ…"), "café λ…");
+    }
+
+    #[test]
+    fn numbers_print_shortest_and_non_finite_as_null() {
+        let num = |n: f64| JsonValue::Num(n).to_string();
+        assert_eq!(num(4.0), "4");
+        assert_eq!(num(-12.0), "-12");
+        assert_eq!(num(1.5), "1.5");
+        assert_eq!(num(0.1), "0.1");
+        assert_eq!(num(1.0 / 3.0).parse::<f64>(), Ok(1.0 / 3.0));
+        assert_eq!(num(9_007_199_254_740_992.0), "9007199254740992");
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(num(n), "null");
+        }
+    }
+
+    fn sample() -> JsonValue {
+        JsonValue::obj([
+            ("name", "a\"b".into()),
+            ("n", 3u64.into()),
+            ("none", None::<u64>.into()),
+            ("flag", JsonValue::Bool(true)),
+            (
+                "list",
+                [1.5, f64::NAN].into_iter().map(JsonValue::from).collect(),
+            ),
+            ("empty", JsonValue::obj([])),
+            ("nested", JsonValue::obj([("xs", JsonValue::Arr(vec![]))])),
+        ])
+    }
+
+    #[test]
+    fn compact_form_has_no_whitespace() {
+        assert_eq!(
+            sample().to_string(),
+            r#"{"name":"a\"b","n":3,"none":null,"flag":true,"list":[1.5,null],"empty":{},"nested":{"xs":[]}}"#
+        );
+    }
+
+    #[test]
+    fn pretty_form_indents_two_spaces() {
+        let expected = r#"{
+  "name": "a\"b",
+  "n": 3,
+  "none": null,
+  "flag": true,
+  "list": [
+    1.5,
+    null
+  ],
+  "empty": {},
+  "nested": {
+    "xs": []
+  }
+}"#;
+        assert_eq!(format!("{:#}", sample()), expected);
+    }
+
+    #[test]
+    fn both_forms_parse_back_to_the_same_tree() {
+        let mut expected = sample();
+        // NaN comes back as null; everything else round-trips exactly.
+        if let JsonValue::Obj(members) = &mut expected {
+            members[4].1 = JsonValue::Arr(vec![JsonValue::Num(1.5), JsonValue::Null]);
+        }
+        for text in [sample().to_string(), format!("{:#}", sample())] {
+            assert_eq!(JsonValue::parse(&text), Ok(expected.clone()));
+        }
     }
 }

@@ -13,8 +13,9 @@
 //!   [`histogram_record`]) with log-linear latency [`Histogram`]s that report
 //!   p50/p90/p99;
 //! * **exporters**: Chrome trace-event JSON for <https://ui.perfetto.dev>
-//!   ([`Trace::to_chrome_trace`]), JSON lines ([`Trace::to_json_lines`]), a
-//!   metrics summary ([`MetricsSnapshot::to_json`]), and the
+//!   ([`Trace::to_chrome_trace`]), JSON lines ([`SpanRecord::to_json`]), a
+//!   metrics summary ([`MetricsSnapshot::to_json`]), all built as
+//!   [`json::JsonValue`] trees printed by one serializer, and the
 //!   OpenMetrics/Prometheus text format
 //!   ([`MetricsSnapshot::to_openmetrics`]);
 //! * an always-on **flight recorder** ([`flight_record`],
@@ -41,7 +42,7 @@
 //! let trace = observe::take_trace();
 //! assert_eq!(trace.len(), 2);
 //! let chrome = trace.to_chrome_trace();
-//! assert!(chrome.contains("\"import\""));
+//! assert_eq!(chrome.as_array().map(<[_]>::len), Some(2));
 //! let metrics = observe::metrics_snapshot();
 //! observe::reset();
 //! assert_eq!(metrics.counters["graph.pass.constant-fold.rewrites"], 2);
@@ -62,7 +63,7 @@ mod trace;
 pub use attribution::{Attribution, AttributionRow};
 pub use flight::{
     flight_capacity, flight_clear, flight_dropped, flight_record, flight_recorded, flight_render,
-    flight_snapshot, flight_to_json_lines, FlightEvent,
+    flight_snapshot, FlightEvent,
 };
 pub use histogram::Histogram;
 pub use metrics::{
@@ -72,7 +73,7 @@ pub use recorder::{
     current_span_id, disable, enable, enabled, span, span_with_parent, AttrValue, SpanGuard,
     SpanRecord,
 };
-pub use trace::Trace;
+pub use trace::{chrome_event, Trace};
 
 /// Truncates `s` to at most `max` characters, ending with `…` when cut.
 ///
@@ -99,4 +100,97 @@ pub fn take_trace() -> Trace {
 pub fn reset() {
     recorder::reset_spans();
     reset_metrics();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use json::JsonValue;
+
+    #[test]
+    fn every_observe_artifact_parses_back() {
+        let span = SpanRecord {
+            id: 7,
+            parent: Some(3),
+            name: "conv\t\"7\"".into(),
+            category: "layer",
+            start_us: 12.5,
+            dur_us: 0.1,
+            tid: 1,
+            attrs: vec![("op", "Conv".into()), ("flops", AttrValue::Int(42))],
+        };
+        let chrome = Trace {
+            spans: vec![span.clone()],
+        }
+        .to_chrome_trace();
+        let mut metrics = MetricsSnapshot::default();
+        metrics.counters.insert("runs".into(), 3);
+        metrics.gauges.insert("ratio".into(), 0.25);
+        let mut h = Histogram::new();
+        h.record(100);
+        metrics.histograms.insert("run.latency_us".into(), h);
+        let metrics = metrics.to_json();
+        let event = FlightEvent {
+            seq: 9,
+            at_us: 1.5,
+            tid: 0,
+            category: "engine",
+            label: "fallback".into(),
+            detail: "line\nbreak".into(),
+        };
+        // (artifact, tree, every key in schema order, one spot-checked value)
+        type Case<'a> = (&'a str, JsonValue, &'a [&'a str], (&'a str, JsonValue));
+        let cases: [Case; 5] = [
+            (
+                "chrome event",
+                chrome.as_array().unwrap()[0].clone(),
+                &["name", "cat", "ph", "ts", "dur", "pid", "tid", "args"],
+                ("name", "conv\t\"7\"".into()),
+            ),
+            (
+                "span line",
+                span.to_json(),
+                &[
+                    "id", "parent", "name", "cat", "start_us", "dur_us", "tid", "op", "flops",
+                ],
+                ("parent", 3u64.into()),
+            ),
+            (
+                "metrics",
+                metrics.clone(),
+                &["counters", "gauges", "histograms"],
+                ("gauges", JsonValue::obj([("ratio", 0.25.into())])),
+            ),
+            (
+                "histogram",
+                metrics
+                    .get("histograms")
+                    .unwrap()
+                    .get("run.latency_us")
+                    .unwrap()
+                    .clone(),
+                &["count", "min", "max", "mean", "p50", "p90", "p99"],
+                ("count", 1u64.into()),
+            ),
+            (
+                "flight event",
+                event.to_json(),
+                &["seq", "at_us", "tid", "category", "label", "detail"],
+                ("detail", "line\nbreak".into()),
+            ),
+        ];
+        for (artifact, tree, keys, (key, value)) in cases {
+            for text in [tree.to_string(), format!("{tree:#}")] {
+                let back = JsonValue::parse(&text)
+                    .unwrap_or_else(|e| panic!("{artifact} does not parse: {e}"));
+                assert_eq!(back, tree, "{artifact} round trip");
+                let JsonValue::Obj(members) = &back else {
+                    panic!("{artifact} is not an object");
+                };
+                let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(names, keys, "{artifact} keys");
+                assert_eq!(back.get(key), Some(&value), "{artifact}.{key}");
+            }
+        }
+    }
 }

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 use crate::histogram::Histogram;
-use crate::json::escape_into;
+use crate::json::JsonValue;
 use crate::recorder::enabled;
 
 #[derive(Debug, Default)]
@@ -88,59 +88,39 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Renders the snapshot as a pretty-printed JSON object with `counters`,
-    /// `gauges`, and `histograms` sections; histograms are summarized as
+    /// The snapshot as a JSON object with `counters`, `gauges`, and
+    /// `histograms` sections; histograms are summarized as
     /// count/min/max/mean/p50/p90/p99.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    \"");
-            escape_into(&mut out, k);
-            out.push_str(&format!("\": {v}"));
-        }
-        if !self.counters.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    \"");
-            escape_into(&mut out, k);
-            out.push_str(&format!("\": {v}"));
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"histograms\": {");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    \"");
-            escape_into(&mut out, k);
-            out.push_str(&format!(
-                "\": {{\"count\": {}, \"min\": {}, \"max\": {}, \"mean\": {:.3}, \
-                 \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                h.count(),
-                h.min(),
-                h.max(),
-                h.mean(),
-                h.percentile(0.50),
-                h.percentile(0.90),
-                h.percentile(0.99),
-            ));
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+    pub fn to_json(&self) -> JsonValue {
+        let histogram = |h: &Histogram| {
+            JsonValue::obj([
+                ("count", h.count().into()),
+                ("min", h.min().into()),
+                ("max", h.max().into()),
+                ("mean", h.mean().into()),
+                ("p50", h.percentile(0.50).into()),
+                ("p90", h.percentile(0.90).into()),
+                ("p99", h.percentile(0.99).into()),
+            ])
+        };
+        JsonValue::obj([
+            (
+                "counters",
+                JsonValue::obj(self.counters.iter().map(|(k, v)| (k.as_str(), (*v).into()))),
+            ),
+            (
+                "gauges",
+                JsonValue::obj(self.gauges.iter().map(|(k, v)| (k.as_str(), (*v).into()))),
+            ),
+            (
+                "histograms",
+                JsonValue::obj(
+                    self.histograms
+                        .iter()
+                        .map(|(k, h)| (k.as_str(), histogram(h))),
+                ),
+            ),
+        ])
     }
 }
 
@@ -186,19 +166,33 @@ mod tests {
         assert_eq!(snap.counters["passes.total"], 5);
         assert_eq!(snap.gauges["threads"], 4.0);
         assert_eq!(snap.histograms["run.latency_us"].count(), 3);
-        let json = snap.to_json();
-        assert!(json.contains("\"passes.total\": 5"));
-        assert!(json.contains("\"count\": 3"));
-        assert!(json.contains("\"p50\""));
-        assert!(json.contains("\"p99\""));
+        let json = JsonValue::parse(&format!("{:#}", snap.to_json())).unwrap();
+        let counter = |key| json.get("counters").unwrap().get(key).unwrap().as_u64();
+        assert_eq!(counter("passes.total"), Some(5));
+        assert_eq!(
+            json.get("gauges").unwrap().get("threads").unwrap().as_f64(),
+            Some(4.0)
+        );
+        let h = json
+            .get("histograms")
+            .unwrap()
+            .get("run.latency_us")
+            .unwrap();
+        assert_eq!(h.get("count").unwrap().as_u64(), Some(3));
+        assert!(h.get("p50").unwrap().as_u64().is_some());
+        assert!(h.get("p99").unwrap().as_u64().is_some());
     }
 
     #[test]
     fn empty_snapshot_renders_valid_json_skeleton() {
         let snap = MetricsSnapshot::default();
-        let json = snap.to_json();
-        assert!(json.contains("\"counters\": {}"));
-        assert!(json.contains("\"gauges\": {}"));
-        assert!(json.contains("\"histograms\": {}"));
+        let json = JsonValue::parse(&format!("{:#}", snap.to_json())).unwrap();
+        for section in ["counters", "gauges", "histograms"] {
+            assert_eq!(
+                json.get(section),
+                Some(&JsonValue::Obj(vec![])),
+                "{section}"
+            );
+        }
     }
 }

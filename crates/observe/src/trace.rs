@@ -7,11 +7,11 @@
 //!   events loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!   Nesting is positional: a child renders inside its parent because its
 //!   `[ts, ts+dur]` interval lies within the parent's on the same track.
-//! * **JSON lines** (`to_json_lines`) — one object per span with explicit
-//!   `id`/`parent` fields, for programmatic consumers that want the tree
-//!   structure rather than a timeline.
+//! * **JSON lines** ([`SpanRecord::to_json`], one line per span) — one
+//!   object per span with explicit `id`/`parent` fields, for programmatic
+//!   consumers that want the tree structure rather than a timeline.
 
-use crate::json::escape_into;
+use crate::json::JsonValue;
 use crate::recorder::{AttrValue, SpanRecord};
 
 /// A drained collection of spans.
@@ -59,79 +59,79 @@ impl Trace {
         })
     }
 
-    /// Renders the trace in Chrome trace-event format (a JSON array of
-    /// complete events, timestamps in microseconds).
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("[");
+    /// Renders the trace in Chrome trace-event format: an array of
+    /// complete events ordered by start time, timestamps in microseconds.
+    pub fn to_chrome_trace(&self) -> JsonValue {
         let mut sorted: Vec<&SpanRecord> = self.spans.iter().collect();
-        sorted.sort_by(|a, b| {
-            a.start_us
-                .partial_cmp(&b.start_us)
-                .expect("span timestamps are finite")
-        });
-        for (i, span) in sorted.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n  {\"name\": \"");
-            escape_into(&mut out, &span.name);
-            out.push_str("\", \"cat\": \"");
-            escape_into(&mut out, span.category);
-            out.push_str(&format!(
-                "\", \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 1, \"tid\": {}",
-                span.start_us, span.dur_us, span.tid
-            ));
-            out.push_str(", \"args\": {");
-            write_args(&mut out, span, false);
-            out.push_str("}}");
-        }
-        out.push_str("\n]\n");
-        out
-    }
-
-    /// Renders the trace as JSON lines: one object per span, carrying the
-    /// explicit `id`/`parent` tree structure.
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for span in &self.spans {
-            out.push_str(&format!("{{\"id\": {}, \"parent\": ", span.id));
-            match span.parent {
-                Some(p) => out.push_str(&p.to_string()),
-                None => out.push_str("null"),
-            }
-            out.push_str(", \"name\": \"");
-            escape_into(&mut out, &span.name);
-            out.push_str("\", \"cat\": \"");
-            escape_into(&mut out, span.category);
-            out.push_str(&format!(
-                "\", \"start_us\": {:.3}, \"dur_us\": {:.3}, \"tid\": {}",
-                span.start_us, span.dur_us, span.tid
-            ));
-            write_args(&mut out, span, true);
-            out.push_str("}\n");
-        }
-        out
+        sorted.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
+        sorted
+            .into_iter()
+            .map(|span| {
+                chrome_event(
+                    &span.name,
+                    span.category,
+                    span.start_us,
+                    span.dur_us,
+                    span.tid,
+                    JsonValue::obj(attr_members(span)),
+                )
+            })
+            .collect()
     }
 }
 
-fn write_args(out: &mut String, span: &SpanRecord, leading_comma: bool) {
-    for (i, (k, v)) in span.attrs.iter().enumerate() {
-        if i > 0 || leading_comma {
-            out.push_str(", ");
-        }
-        out.push('"');
-        escape_into(out, k);
-        out.push_str("\": ");
-        match v {
-            AttrValue::Str(s) => {
-                out.push('"');
-                escape_into(out, s);
-                out.push('"');
-            }
-            AttrValue::Int(i) => out.push_str(&i.to_string()),
-            AttrValue::Float(f) => out.push_str(&format!("{f:.3}")),
-        }
+/// One Chrome trace-event complete (`"X"`) event on process 1. Shared by
+/// [`Trace::to_chrome_trace`] and every other timeline exporter, so the
+/// workspace has one chrome event layout.
+pub fn chrome_event(
+    name: &str,
+    category: &str,
+    ts_us: f64,
+    dur_us: f64,
+    tid: u64,
+    args: JsonValue,
+) -> JsonValue {
+    JsonValue::obj([
+        ("name", name.into()),
+        ("cat", category.into()),
+        ("ph", "X".into()),
+        ("ts", ts_us.into()),
+        ("dur", dur_us.into()),
+        ("pid", 1u64.into()),
+        ("tid", tid.into()),
+        ("args", args),
+    ])
+}
+
+impl SpanRecord {
+    /// The span as one JSON-lines object: explicit `id`/`parent` tree
+    /// structure, then its attributes as top-level members.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::obj(
+            [
+                ("id", self.id.into()),
+                ("parent", self.parent.into()),
+                ("name", self.name.as_str().into()),
+                ("cat", self.category.into()),
+                ("start_us", self.start_us.into()),
+                ("dur_us", self.dur_us.into()),
+                ("tid", self.tid.into()),
+            ]
+            .into_iter()
+            .chain(attr_members(self)),
+        )
     }
+}
+
+fn attr_members(span: &SpanRecord) -> impl Iterator<Item = (&'static str, JsonValue)> + '_ {
+    span.attrs.iter().map(|(k, v)| {
+        let value = match v {
+            AttrValue::Str(s) => s.as_str().into(),
+            AttrValue::Int(i) => (*i).into(),
+            AttrValue::Float(f) => (*f).into(),
+        };
+        (*k, value)
+    })
 }
 
 #[cfg(test)]
@@ -168,29 +168,64 @@ mod tests {
         }
     }
 
+    /// Each JSON-lines object of `trace`, printed and parsed back.
+    fn parsed_lines(trace: &Trace) -> Vec<JsonValue> {
+        trace
+            .spans
+            .iter()
+            .map(|span| JsonValue::parse(&span.to_json().to_string()).unwrap())
+            .collect()
+    }
+
     #[test]
     fn chrome_trace_is_sorted_and_escaped() {
-        let json = sample().to_chrome_trace();
-        assert!(json.starts_with('['));
-        assert!(json.trim_end().ends_with(']'));
+        let text = sample().to_chrome_trace().to_string();
+        assert!(text.contains(r#"conv\"1\""#));
+        let events = JsonValue::parse(&text).unwrap();
+        let events = events.as_array().unwrap();
         // The parent starts earlier, so it must be emitted first.
-        let run_pos = json.find("\"run\"").unwrap();
-        let conv_pos = json.find("conv").unwrap();
-        assert!(run_pos < conv_pos);
-        assert!(json.contains(r#"conv\"1\""#));
-        assert!(json.contains("\"ph\": \"X\""));
-        assert!(json.contains("\"args\": {\"op\": \"Conv\", \"flops\": 42}"));
+        assert_eq!(events[0].get("name").unwrap().as_str(), Some("run"));
+        let conv = &events[1];
+        assert_eq!(conv.get("name").unwrap().as_str(), Some("conv\"1\""));
+        assert_eq!(conv.get("ph").unwrap().as_str(), Some("X"));
+        assert_eq!(
+            conv.get("args"),
+            Some(&JsonValue::obj([
+                ("op", "Conv".into()),
+                ("flops", 42u64.into())
+            ]))
+        );
     }
 
     #[test]
     fn json_lines_carry_tree_structure() {
-        let lines = sample().to_json_lines();
-        let mut it = lines.lines();
-        let first = it.next().unwrap();
-        let second = it.next().unwrap();
-        assert!(first.contains("\"id\": 2") && first.contains("\"parent\": 1"));
-        assert!(second.contains("\"id\": 1") && second.contains("\"parent\": null"));
-        assert_eq!(it.next(), None);
+        let lines = parsed_lines(&sample());
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[0].get("id").unwrap().as_u64(), Some(2));
+        assert_eq!(lines[0].get("parent").unwrap().as_u64(), Some(1));
+        assert_eq!(lines[0].get("op").unwrap().as_str(), Some("Conv"));
+        assert_eq!(lines[1].get("id").unwrap().as_u64(), Some(1));
+        assert_eq!(lines[1].get("parent"), Some(&JsonValue::Null));
+    }
+
+    #[test]
+    fn non_finite_float_attributes_serialize_as_null() {
+        let mut trace = sample();
+        trace.spans[0].attrs = vec![
+            ("nan", AttrValue::Float(f64::NAN)),
+            ("inf", AttrValue::Float(f64::INFINITY)),
+            ("neg_inf", AttrValue::Float(f64::NEG_INFINITY)),
+            ("finite", AttrValue::Float(2.5)),
+        ];
+        let chrome = JsonValue::parse(&trace.to_chrome_trace().to_string()).unwrap();
+        let args = chrome.as_array().unwrap()[1].get("args").unwrap().clone();
+        let line = parsed_lines(&trace).swap_remove(0);
+        for object in [&args, &line] {
+            for key in ["nan", "inf", "neg_inf"] {
+                assert_eq!(object.get(key), Some(&JsonValue::Null), "{key}");
+            }
+            assert_eq!(object.get("finite").unwrap().as_f64(), Some(2.5));
+        }
     }
 
     #[test]
@@ -208,7 +243,6 @@ mod tests {
     fn empty_trace_renders_empty_array() {
         let t = Trace::default();
         assert!(t.is_empty());
-        assert_eq!(t.to_chrome_trace(), "[\n]\n");
-        assert_eq!(t.to_json_lines(), "");
+        assert_eq!(t.to_chrome_trace().to_string(), "[]");
     }
 }

@@ -11,6 +11,7 @@
 use std::collections::{HashMap, HashSet};
 
 use orpheus_graph::{infer_shapes, Graph, GraphError};
+use orpheus_observe::json::JsonValue;
 
 /// Bytes per activation element (the engine executes in `f32`).
 const BYTES_PER_ELEMENT: usize = 4;
@@ -145,21 +146,15 @@ impl MemoryReport {
         out
     }
 
-    /// One JSON object, no trailing newline.
-    pub fn to_json(&self) -> String {
-        let peak_node = match &self.peak_node {
-            Some(n) => format!("\"{}\"", orpheus_observe::json::escape(n)),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"peak_bytes\":{},\"peak_node\":{},\"total_allocated_bytes\":{},\
-             \"parameter_bytes\":{},\"num_activations\":{}}}",
-            self.peak_bytes,
-            peak_node,
-            self.total_allocated_bytes,
-            self.parameter_bytes,
-            self.num_activations
-        )
+    /// The report as one JSON object.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("peak_bytes", self.peak_bytes.into()),
+            ("peak_node", self.peak_node.as_deref().into()),
+            ("total_allocated_bytes", self.total_allocated_bytes.into()),
+            ("parameter_bytes", self.parameter_bytes.into()),
+            ("num_activations", self.num_activations.into()),
+        ])
     }
 }
 

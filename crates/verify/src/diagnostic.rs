@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use orpheus_observe::json;
+use orpheus_observe::json::JsonValue;
 
 /// How bad a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -236,26 +236,14 @@ impl Diagnostic {
         }
     }
 
-    /// One JSON object, no trailing newline.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        out.push_str("{\"code\":\"");
-        out.push_str(self.code.as_str());
-        out.push_str("\",\"severity\":\"");
-        out.push_str(&self.severity.to_string());
-        out.push_str("\",\"node\":");
-        match &self.node {
-            Some(n) => {
-                out.push('"');
-                json::escape_into(&mut out, n);
-                out.push('"');
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"message\":\"");
-        json::escape_into(&mut out, &self.message);
-        out.push_str("\"}");
-        out
+    /// The diagnostic as one JSON object.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("code", self.code.as_str().into()),
+            ("severity", JsonValue::Str(self.severity.to_string())),
+            ("node", self.node.as_deref().into()),
+            ("message", self.message.as_str().into()),
+        ])
     }
 }
 
@@ -301,10 +289,14 @@ mod tests {
     #[test]
     fn json_escapes_names() {
         let d = Diagnostic::at(Code::DeadNode, "a\"b", "x");
-        assert!(d.to_json().contains("a\\\"b"));
-        assert!(d.to_json().contains("\"severity\":\"warning\""));
+        let text = d.to_json().to_string();
+        assert!(text.contains("a\\\"b"));
+        let json = JsonValue::parse(&text).unwrap();
+        assert_eq!(json.get("node").unwrap().as_str(), Some("a\"b"));
+        assert_eq!(json.get("severity").unwrap().as_str(), Some("warning"));
         let g = Diagnostic::graph(Code::NoGraphOutputs, "empty");
-        assert!(g.to_json().contains("\"node\":null"));
+        let json = JsonValue::parse(&g.to_json().to_string()).unwrap();
+        assert_eq!(json.get("node"), Some(&JsonValue::Null));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use std::collections::{HashMap, HashSet};
 
 use orpheus_graph::{infer_shapes, infer_shapes_with_batch, Graph, GraphError};
+use orpheus_observe::json::JsonValue;
 
 /// Bytes per activation element (the engine executes in `f32`).
 const BYTES_PER_ELEMENT: usize = 4;
@@ -168,17 +169,15 @@ impl ArenaReport {
         )
     }
 
-    /// One JSON object, no trailing newline.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"arena_bytes\":{},\"num_buffers\":{},\"num_values\":{},\
-             \"total_value_bytes\":{},\"reuse_ratio\":{:.4}}}",
-            self.arena_bytes,
-            self.num_buffers,
-            self.num_values,
-            self.total_value_bytes,
-            self.reuse_ratio()
-        )
+    /// The report as one JSON object.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("arena_bytes", self.arena_bytes.into()),
+            ("num_buffers", self.num_buffers.into()),
+            ("num_values", self.num_values.into()),
+            ("total_value_bytes", self.total_value_bytes.into()),
+            ("reuse_ratio", self.reuse_ratio().into()),
+        ])
     }
 }
 
@@ -380,8 +379,8 @@ mod tests {
             num_values: 3,
             total_value_bytes: 192,
         };
-        let json = report.to_json();
-        assert!(json.contains("\"arena_bytes\":128"));
-        assert!(json.contains("\"reuse_ratio\":1.5000"));
+        let json = JsonValue::parse(&report.to_json().to_string()).unwrap();
+        assert_eq!(json.get("arena_bytes").unwrap().as_u64(), Some(128));
+        assert_eq!(json.get("reuse_ratio").unwrap().as_f64(), Some(1.5));
     }
 }

@@ -20,7 +20,7 @@
 //! — one injector per diagnostic code — so tests can prove the checker
 //! actually fires (and the engine sanitizer actually rejects).
 
-use orpheus_observe::{self as observe, json};
+use orpheus_observe::{self as observe, json::JsonValue};
 
 use crate::diagnostic::{Code, Diagnostic};
 
@@ -154,34 +154,31 @@ impl PlanCheckReport {
         out
     }
 
-    /// One JSON object (no trailing newline), machine-readable.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"model\":\"");
-        json::escape_into(&mut out, &self.model);
-        out.push_str(&format!("\",\"errors\":{},\"buckets\":[", self.errors()));
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"batch\":{},\"diagnostics\":[", bucket.batch));
-            for (j, diagnostic) in bucket.diagnostics.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&diagnostic.to_json());
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"ladder\":[");
-        for (i, diagnostic) in self.ladder.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&diagnostic.to_json());
-        }
-        out.push_str("]}");
-        out
+    /// The report as one JSON object.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("model", self.model.as_str().into()),
+            ("errors", self.errors().into()),
+            (
+                "buckets",
+                self.buckets
+                    .iter()
+                    .map(|bucket| {
+                        JsonValue::obj([
+                            ("batch", bucket.batch.into()),
+                            (
+                                "diagnostics",
+                                bucket.diagnostics.iter().map(Diagnostic::to_json).collect(),
+                            ),
+                        ])
+                    })
+                    .collect(),
+            ),
+            (
+                "ladder",
+                self.ladder.iter().map(Diagnostic::to_json).collect(),
+            ),
+        ])
     }
 }
 
@@ -867,7 +864,8 @@ mod tests {
         assert_eq!(report.buckets.len(), 3);
         assert!(report.render().contains("bucket 4: ok"));
         assert!(report.render().contains("ladder: consistent"));
-        assert!(report.to_json().contains("\"errors\":0"));
+        let json = JsonValue::parse(&report.to_json().to_string()).unwrap();
+        assert_eq!(json.get("errors").unwrap().as_u64(), Some(0));
     }
 
     #[test]

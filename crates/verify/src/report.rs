@@ -1,7 +1,7 @@
 //! The combined lint report the CLI prints: diagnostics + memory analysis.
 
 use orpheus_graph::Graph;
-use orpheus_observe::json;
+use orpheus_observe::json::JsonValue;
 
 use crate::dataflow::{self, MemoryReport};
 use crate::diagnostic::{Diagnostic, Severity};
@@ -95,54 +95,41 @@ impl LintReport {
         out
     }
 
-    /// One JSON object (no trailing newline), machine-readable.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str(&format!(
-            "{{\"schema_version\":{LINT_SCHEMA_VERSION},\"model\":\""
-        ));
-        json::escape_into(&mut out, &self.model);
-        out.push_str(&format!(
-            "\",\"nodes\":{},\"parameters\":{},\"errors\":{},\"warnings\":{},",
-            self.nodes,
-            self.parameters,
-            self.errors(),
-            self.warnings()
-        ));
-        out.push_str("\"diagnostics\":[");
-        for (i, diagnostic) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&diagnostic.to_json());
-        }
-        out.push_str("],\"memory\":");
-        match &self.memory {
-            Some(memory) => out.push_str(&memory.to_json()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"arena\":");
-        match &self.arena {
-            Some(arena) => out.push_str(&arena.to_json()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"bucket_arenas\":[");
-        for (i, (batch, arena)) in self.bucket_arenas.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"batch\":{batch},\"arena\":{}}}",
-                arena.to_json()
-            ));
-        }
-        out.push_str("],\"plan\":");
-        match &self.plan {
-            Some(plan) => out.push_str(&plan.to_json()),
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
+    /// The report as one JSON object (the `lint --json` schema).
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("schema_version", u64::from(LINT_SCHEMA_VERSION).into()),
+            ("model", self.model.as_str().into()),
+            ("nodes", self.nodes.into()),
+            ("parameters", self.parameters.into()),
+            ("errors", self.errors().into()),
+            ("warnings", self.warnings().into()),
+            (
+                "diagnostics",
+                self.diagnostics.iter().map(Diagnostic::to_json).collect(),
+            ),
+            (
+                "memory",
+                self.memory.as_ref().map(MemoryReport::to_json).into(),
+            ),
+            (
+                "arena",
+                self.arena.as_ref().map(ArenaReport::to_json).into(),
+            ),
+            (
+                "bucket_arenas",
+                self.bucket_arenas
+                    .iter()
+                    .map(|(batch, arena)| {
+                        JsonValue::obj([("batch", (*batch).into()), ("arena", arena.to_json())])
+                    })
+                    .collect(),
+            ),
+            (
+                "plan",
+                self.plan.as_ref().map(PlanCheckReport::to_json).into(),
+            ),
+        ])
     }
 }
 
@@ -212,7 +199,13 @@ pub fn lint_with_batch(graph: &Graph, max_batch: usize) -> LintReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagnostic::Code;
+    use crate::plan_check::BucketVerdict;
     use orpheus_graph::{Node, OpKind, ValueInfo};
+
+    fn parsed(report: &LintReport) -> JsonValue {
+        JsonValue::parse(&report.to_json().to_string()).unwrap()
+    }
 
     fn tiny() -> Graph {
         let mut g = Graph::new("tiny");
@@ -230,7 +223,7 @@ mod tests {
         let memory = report.memory.as_ref().expect("memory report");
         assert_eq!(memory.peak_bytes, 32);
         assert!(report.render().contains("0 error(s)"));
-        assert!(report.to_json().contains("\"errors\":0"));
+        assert_eq!(parsed(&report).get("errors").unwrap().as_u64(), Some(0));
     }
 
     #[test]
@@ -247,13 +240,20 @@ mod tests {
             "{}",
             report.render()
         );
-        assert!(report
-            .to_json()
-            .contains("\"bucket_arenas\":[{\"batch\":1,"));
+        let json = parsed(&report);
+        let rows = json.get("bucket_arenas").unwrap().as_array().unwrap();
+        let row_batches: Vec<Option<u64>> = rows
+            .iter()
+            .map(|row| row.get("batch").unwrap().as_u64())
+            .collect();
+        assert_eq!(row_batches, vec![Some(1), Some(2), Some(4)]);
         // Plain lint stays bucket-free (and so does max_batch 1).
         assert!(lint(&tiny()).bucket_arenas.is_empty());
         assert!(lint_with_batch(&tiny(), 1).bucket_arenas.is_empty());
-        assert!(lint(&tiny()).to_json().contains("\"bucket_arenas\":[]"));
+        assert_eq!(
+            parsed(&lint(&tiny())).get("bucket_arenas"),
+            Some(&JsonValue::Arr(vec![]))
+        );
     }
 
     #[test]
@@ -264,7 +264,112 @@ mod tests {
         let report = lint(&g);
         assert!(report.errors() > 0);
         assert!(report.memory.is_none());
-        assert!(report.to_json().contains("\"memory\":null"));
+        assert_eq!(parsed(&report).get("memory"), Some(&JsonValue::Null));
         assert!(report.render().contains("ORV002"));
+    }
+
+    #[test]
+    fn every_verify_artifact_parses_back() {
+        let mut broken = tiny();
+        broken.add_node(Node::new("b", OpKind::Relu, &["ghost"], &["z"]));
+        let broken = lint(&broken);
+        let plan = PlanCheckReport {
+            model: "tiny".into(),
+            buckets: vec![BucketVerdict {
+                batch: 2,
+                diagnostics: vec![Diagnostic::at(Code::UndefinedValue, "n\"0\n", "m")],
+            }],
+            ladder: vec![Diagnostic::graph(Code::Cycle, "ladder")],
+        };
+        let mut checked = lint_with_batch(&tiny(), 2);
+        checked.plan = Some(plan.clone());
+        let memory = checked.memory.clone().unwrap();
+        let arena = checked.arena.clone().unwrap();
+        let lint_keys = [
+            "schema_version",
+            "model",
+            "nodes",
+            "parameters",
+            "errors",
+            "warnings",
+            "diagnostics",
+            "memory",
+            "arena",
+            "bucket_arenas",
+            "plan",
+        ];
+        // (artifact, tree, every key in schema order, spot-checked values)
+        type Case<'a> = (&'a str, JsonValue, &'a [&'a str], Vec<(&'a str, JsonValue)>);
+        let cases: Vec<Case> = vec![
+            (
+                "lint",
+                checked.to_json(),
+                &lint_keys,
+                vec![
+                    ("schema_version", 2u64.into()),
+                    ("model", "tiny".into()),
+                    ("errors", 2u64.into()),
+                ],
+            ),
+            (
+                "broken lint",
+                broken.to_json(),
+                &lint_keys,
+                vec![("memory", JsonValue::Null), ("plan", JsonValue::Null)],
+            ),
+            (
+                "plan check",
+                plan.to_json(),
+                &["model", "errors", "buckets", "ladder"],
+                vec![("model", "tiny".into()), ("errors", 2u64.into())],
+            ),
+            (
+                "diagnostic",
+                plan.buckets[0].diagnostics[0].to_json(),
+                &["code", "severity", "node", "message"],
+                vec![
+                    ("code", "ORV002".into()),
+                    ("severity", "error".into()),
+                    ("node", "n\"0\n".into()),
+                ],
+            ),
+            (
+                "memory",
+                memory.to_json(),
+                &[
+                    "peak_bytes",
+                    "peak_node",
+                    "total_allocated_bytes",
+                    "parameter_bytes",
+                    "num_activations",
+                ],
+                vec![("peak_bytes", 32u64.into())],
+            ),
+            (
+                "arena",
+                arena.to_json(),
+                &[
+                    "arena_bytes",
+                    "num_buffers",
+                    "num_values",
+                    "total_value_bytes",
+                    "reuse_ratio",
+                ],
+                vec![("arena_bytes", arena.arena_bytes.into())],
+            ),
+        ];
+        for (artifact, tree, keys, values) in cases {
+            let back = JsonValue::parse(&tree.to_string())
+                .unwrap_or_else(|e| panic!("{artifact} does not parse: {e}"));
+            assert_eq!(back, tree, "{artifact} round trip");
+            let JsonValue::Obj(members) = &back else {
+                panic!("{artifact} is not an object");
+            };
+            let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(names, keys, "{artifact} keys");
+            for (key, value) in values {
+                assert_eq!(back.get(key), Some(&value), "{artifact}.{key}");
+            }
+        }
     }
 }

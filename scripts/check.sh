@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test --workspace =="
 cargo test --workspace -q
 
+echo "== perfbench harness (separate workspace over the public API) =="
+# perfbench/ is its own cargo workspace, so the workspace build and tests
+# above never compile it; this gate catches public-API changes that break
+# the benchmark harness.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== forced-scalar differential lane (ORPHEUS_FORCE_SCALAR=1) =="
 # On SIMD hosts the runtime dispatcher selects the AVX2+FMA micro-kernel,
 # so the default test run proves SIMD correctness. This lane re-runs the
