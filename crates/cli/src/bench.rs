@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use orpheus::{Engine, EngineError};
 use orpheus_models::{build_model_with_input, ModelKind};
 use orpheus_observe::json::JsonValue;
-use orpheus_observe::{Attribution, AttributionRow, Histogram};
+use orpheus_observe::{Histogram, LayerTiming};
 use orpheus_tensor::Tensor;
 
 use crate::{with_recording, InputScale, LatencyStats};
@@ -207,8 +207,9 @@ pub struct ModelBench {
     pub arena_measured_bytes: u64,
     /// Heap allocations per steady-state run (`None` without a counter).
     pub steady_allocs_per_run: Option<u64>,
-    /// Per-layer self/total time attribution from an instrumented pass.
-    pub attribution: Vec<AttributionRow>,
+    /// Per-layer self/total time attribution from an instrumented pass, in
+    /// execution order.
+    pub attribution: Vec<LayerTiming>,
     /// Per-batch-bucket latency rows from a batched load of the same model;
     /// empty when the campaign ran with `max_batch` 1 (and in baselines
     /// written before the field existed).
@@ -401,7 +402,7 @@ fn bench_model(config: &BenchConfig, model: ModelKind) -> Result<ModelBench, Eng
         Ok(())
     });
     outcome?;
-    let attribution = Attribution::from_trace(&trace, "layer");
+    let attribution = LayerTiming::fold(&trace);
 
     // Batched pass: reload the model with a batch ladder and time one
     // bucketed run per rung. A model the ladder rejects (vendor backend,
@@ -448,7 +449,7 @@ fn bench_model(config: &BenchConfig, model: ModelKind) -> Result<ModelBench, Eng
         arena_planned_bytes,
         arena_measured_bytes,
         steady_allocs_per_run,
-        attribution: attribution.rows,
+        attribution,
         batched,
     })
 }
@@ -486,6 +487,7 @@ impl BenchReport {
                     ("count", row.count.into()),
                     ("total_us", row.total_us.into()),
                     ("self_us", row.self_us.into()),
+                    ("flops", row.flops.into()),
                 ])
             });
             JsonValue::obj([
@@ -624,7 +626,7 @@ impl BenchReport {
             }
             if let Some(rows) = m.get("attribution").and_then(JsonValue::as_array) {
                 for row in rows {
-                    bench.attribution.push(AttributionRow {
+                    bench.attribution.push(LayerTiming {
                         name: req_str(row, "name")?,
                         op: req_str(row, "op")?,
                         implementation: req_str(row, "implementation")?,
@@ -637,6 +639,8 @@ impl BenchReport {
                             .get("self_us")
                             .and_then(JsonValue::as_f64)
                             .unwrap_or(0.0),
+                        // Baselines written before the key existed read 0.
+                        flops: row.get("flops").and_then(JsonValue::as_u64).unwrap_or(0),
                     });
                 }
             }
@@ -1141,8 +1145,9 @@ mod tests {
         });
         let model = report.to_json().get("models").unwrap().as_array().unwrap()[0].clone();
         let latency = report.models[0].latency.to_json();
+        let attribution_row = model.get("attribution").unwrap().as_array().unwrap()[0].clone();
         // (artifact, tree, every key in schema order)
-        let cases: [(&str, JsonValue, &[&str]); 4] = [
+        let cases: [(&str, JsonValue, &[&str]); 5] = [
             (
                 "bench",
                 report.to_json(),
@@ -1190,6 +1195,19 @@ mod tests {
                     "steady_allocs_per_run",
                     "batched",
                     "attribution",
+                ],
+            ),
+            (
+                "bench attribution row",
+                attribution_row,
+                &[
+                    "name",
+                    "op",
+                    "implementation",
+                    "count",
+                    "total_us",
+                    "self_us",
+                    "flops",
                 ],
             ),
             (

@@ -454,25 +454,14 @@ pub fn profile_model(
     Ok(profile)
 }
 
-/// Per-layer profile text for a model under a personality (the `layers`
-/// subcommand).
-///
-/// # Errors
-///
-/// Propagates engine failures.
-pub fn run_layer_profile(
-    personality: Personality,
-    model: ModelKind,
-    input_hw: usize,
-    threads: usize,
-) -> Result<String, EngineError> {
-    let profile = profile_model(personality, model, input_hw, threads)?;
-    let mut out = profile.render();
-    out.push_str("\nby op:\n");
-    for (op, d) in profile.by_op() {
-        out.push_str(&format!("  {:<20} {:.3} ms\n", op, d.as_secs_f64() * 1e3));
-    }
-    Ok(out)
+/// Per-layer profile text (the `layers` subcommand): the layer table, then
+/// the same rows grouped by operator family.
+pub fn render_layer_profile(profile: &orpheus::Profile) -> String {
+    format!(
+        "{}\nby op:\n{}",
+        profile.render(),
+        profile.group_by(|t| &t.op).render()
+    )
 }
 
 /// Single-layer algorithm sweep: times every applicable convolution
@@ -682,7 +671,8 @@ mod tests {
 
     #[test]
     fn layer_profile_lists_layers() {
-        let text = run_layer_profile(Personality::Orpheus, ModelKind::TinyCnn, 8, 1).unwrap();
+        let profile = profile_model(Personality::Orpheus, ModelKind::TinyCnn, 8, 1).unwrap();
+        let text = render_layer_profile(&profile);
         assert!(text.contains("Conv"));
         assert!(text.contains("by op:"));
     }
@@ -965,14 +955,22 @@ pub fn run_traced_profile(
             p99_us: 0,
         });
     // The per-layer table describes ONE pass over the network, so rebuild it
-    // from the first timed run's subtree only; the trace cannot carry memory
-    // statistics, so they come from the network's memory plan.
+    // from the first timed run's subtree only, at every depth so that self
+    // time excludes each layer's GEMM and pool spans; the trace cannot carry
+    // memory statistics, so they come from the network's memory plan.
     let mut profile = match trace.by_category("session").find(|s| s.name == "run") {
         Some(run) => {
+            let mut subtree = vec![run.id];
+            let mut next = 0;
+            while let Some(&id) = subtree.get(next) {
+                subtree.extend(trace.children_of(id).map(|s| s.id));
+                next += 1;
+            }
+            let subtree: std::collections::BTreeSet<u64> = subtree.into_iter().collect();
             let spans = trace
                 .spans
                 .iter()
-                .filter(|s| s.id == run.id || s.parent == Some(run.id))
+                .filter(|s| subtree.contains(&s.id))
                 .cloned()
                 .collect();
             orpheus::Profile::from_trace(&orpheus_observe::Trace { spans })
@@ -1224,8 +1222,15 @@ mod observe_tests {
         assert!(h.count() >= 3);
         assert!(report.latency.p50_us > 0);
         assert!(report.latency.p99_us >= report.latency.p50_us);
-        // The per-layer table covers exactly one pass over the network.
+        // The per-layer table covers exactly one pass over the network, and
+        // a layer with a GEMM child spends less than its total in itself.
         assert_eq!(report.profile.timings.len(), layers);
+        assert!(t.by_category("gemm").count() > 0, "gemm spans missing");
+        assert!(report
+            .profile
+            .timings
+            .iter()
+            .any(|row| row.self_us < row.total_us));
         let json = JsonValue::parse(&format!("{:#}", report.metrics.to_json())).unwrap();
         let histograms = json.get("histograms").unwrap();
         assert!(histograms.get("run.latency_us").is_some());

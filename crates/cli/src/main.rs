@@ -37,10 +37,10 @@ use std::process::ExitCode;
 
 use orpheus::Personality;
 use orpheus_cli::{
-    bench_filename, compare, profile_model, run_bench, run_depthwise_ablation, run_figure2,
-    run_layer_profile, run_layer_sweep, run_repeat, run_simplify_ablation, run_table1,
-    run_traced_profile, with_recording, BenchConfig, BenchReport, CompareBudgets, Figure2Config,
-    InputScale,
+    bench_filename, compare, profile_model, render_layer_profile, run_bench,
+    run_depthwise_ablation, run_figure2, run_layer_sweep, run_repeat, run_simplify_ablation,
+    run_table1, run_traced_profile, with_recording, BenchConfig, BenchReport, CompareBudgets,
+    Figure2Config, InputScale,
 };
 use orpheus_graph::passes::PassManager;
 use orpheus_models::{build_model, ModelKind};
@@ -318,11 +318,16 @@ fn run(argv: &[String]) -> Result<(), String> {
                 }
             }
             if args.flag("--report") {
-                let attribution = orpheus_observe::Attribution::from_trace(&report.trace, "layer");
-                println!("\nper-layer attribution (self excludes same-thread children):");
-                print!("{}", attribution.render());
+                let all = orpheus::Profile {
+                    memory: report.profile.memory,
+                    ..orpheus::Profile::from_trace(&report.trace)
+                };
+                println!(
+                    "\nper-layer attribution over all {runs} run(s) (self excludes same-thread children):"
+                );
+                print!("{}", all.render());
                 println!("\nby selection algorithm:");
-                print!("{}", attribution.render_by_algorithm());
+                print!("{}", all.group_by(|t| &t.implementation).render());
             }
             write_observability(&args, &report.trace, &report.metrics)?;
             Ok(())
@@ -358,13 +363,11 @@ fn run(argv: &[String]) -> Result<(), String> {
             let personality = personality_or_default(&args)?;
             let hw = args.usize_or("--hw", InputScale::Quick.input_hw(model))?;
             let threads = args.usize_or("--threads", 1)?;
-            let text =
-                run_layer_profile(personality, model, hw, threads).map_err(|e| e.to_string())?;
+            let profile =
+                profile_model(personality, model, hw, threads).map_err(|e| e.to_string())?;
             println!("per-layer profile: {model} under {personality} at {hw}x{hw}");
-            print!("{text}");
+            print!("{}", render_layer_profile(&profile));
             if let Some(path) = args.value("--trace") {
-                let profile =
-                    profile_model(personality, model, hw, threads).map_err(|e| e.to_string())?;
                 std::fs::write(path, format!("{}\n", profile.to_chrome_trace()))
                     .map_err(|e| format!("writing {path:?}: {e}"))?;
                 println!("chrome trace written to {path} (open in chrome://tracing)");

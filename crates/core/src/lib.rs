@@ -90,9 +90,10 @@ pub use engine::{Engine, EngineBuilder, Network, VendorBackend};
 pub use error::EngineError;
 pub use fault::FaultMode;
 pub use layer::Layer;
+pub use orpheus_observe::LayerTiming;
 pub use personality::{Capability, Personality, ThreadPolicy, CAPABILITY_CRITERIA};
 pub use plan::MemoryPlan;
-pub use profile::{LayerTiming, MemoryStats, Profile};
+pub use profile::{MemoryStats, Profile};
 pub use selection::SelectionPolicy;
 pub use session::Session;
 pub use summary::{BucketSummary, LayerSummary, PlanSummary};

@@ -2,13 +2,13 @@
 //!
 //! The paper's evaluation workflow — "infrastructure to run multiple
 //! inference experiments, evaluating full networks, and individual layers" —
-//! needs per-layer timings; the session executor produces one
-//! [`LayerTiming`] per plan step on profiled runs.
+//! needs per-layer timings. Profiled session runs and folded traces both
+//! produce one [`LayerTiming`] row per layer — the one row type, defined in
+//! `orpheus-observe` next to the span fold that builds it.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
-use orpheus_observe::{chrome_event, json::JsonValue, Trace};
+use orpheus_observe::{chrome_event, json::JsonValue, truncate, LayerTiming, Trace};
 
 /// Activation-memory statistics of one network run, read off the memory
 /// plan the run executed (see [`MemoryPlan::stats`](crate::MemoryPlan::stats)).
@@ -26,41 +26,13 @@ pub struct MemoryStats {
     pub tensors_freed_early: usize,
 }
 
-/// Timing record for one layer invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerTiming {
-    /// Layer instance name.
-    pub name: String,
-    /// Operator family (`"Conv"`, `"Dense"`, ...).
-    pub op: String,
-    /// Selected implementation description.
-    pub implementation: String,
-    /// Wall-clock execution time.
-    pub duration: Duration,
-    /// FLOPs for the invocation (0 when unknown).
-    pub flops: u64,
-}
-
-impl LayerTiming {
-    /// Effective GFLOP/s, or `None` when FLOPs are unknown.
-    pub fn gflops(&self) -> Option<f64> {
-        if self.flops == 0 {
-            return None;
-        }
-        let secs = self.duration.as_secs_f64();
-        if secs <= 0.0 {
-            return None;
-        }
-        Some(self.flops as f64 / secs / 1e9)
-    }
-}
-
-/// The result of a profiled network run.
+/// The result of a profiled network run, or of a trace folded over one or
+/// more runs.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
-    /// One record per executed layer, in execution order.
+    /// One row per layer, in execution order.
     pub timings: Vec<LayerTiming>,
-    /// End-to-end wall-clock time.
+    /// End-to-end wall-clock time of every run the rows cover.
     pub total: Duration,
     /// Activation-memory statistics for the run.
     pub memory: MemoryStats,
@@ -68,68 +40,50 @@ pub struct Profile {
 
 impl Profile {
     /// Rebuilds a per-layer profile from a recorded trace (see
-    /// `orpheus-observe`): every `"layer"`-category span becomes one
-    /// [`LayerTiming`], the enclosing session `"run"` span (when present)
-    /// provides the end-to-end total. Memory statistics are not recoverable
-    /// from a trace and are left at their defaults; callers holding the
-    /// network fill them from its memory plan. Span fields are public, so a
-    /// negative or NaN duration reads as zero rather than panicking.
+    /// `orpheus-observe`): the `"layer"` spans fold into rows through
+    /// [`LayerTiming::fold`], and the session `"run"` spans, summed, give the
+    /// end-to-end total (a trace without them totals its rows instead).
+    /// Memory statistics are not recoverable from a trace and are left at
+    /// their defaults; callers holding the network fill them from its memory
+    /// plan. Span fields are public, so a negative or NaN duration reads as
+    /// zero rather than panicking.
     pub fn from_trace(trace: &Trace) -> Profile {
-        let duration = |us: f64| Duration::try_from_secs_f64(us / 1e6).unwrap_or_default();
-        let mut timings: Vec<(f64, LayerTiming)> = trace
-            .by_category("layer")
-            .map(|span| {
-                (
-                    span.start_us,
-                    LayerTiming {
-                        name: span.name.clone(),
-                        op: Trace::attr_str(span, "op").unwrap_or("?").to_string(),
-                        implementation: Trace::attr_str(span, "implementation")
-                            .unwrap_or("?")
-                            .to_string(),
-                        duration: duration(span.dur_us),
-                        flops: Trace::attr_int(span, "flops").unwrap_or(0).max(0) as u64,
-                    },
-                )
-            })
-            .collect();
-        timings.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let total = trace
+        let timings = LayerTiming::fold(trace);
+        let runs: Vec<f64> = trace
             .by_category("session")
             .filter(|s| s.name == "run")
-            .map(|s| duration(s.dur_us))
-            .max()
-            .unwrap_or_else(|| timings.iter().map(|(_, t)| t.duration).sum());
+            .map(|s| s.dur_us.max(0.0))
+            .collect();
+        let total_us: f64 = if runs.is_empty() {
+            timings.iter().map(|t| t.total_us).sum()
+        } else {
+            runs.iter().sum()
+        };
         Profile {
-            timings: timings.into_iter().map(|(_, t)| t).collect(),
-            total,
+            timings,
+            total: Duration::try_from_secs_f64(total_us / 1e6).unwrap_or_default(),
             memory: MemoryStats::default(),
         }
     }
 
-    /// Total time grouped by operator family, descending.
-    pub fn by_op(&self) -> Vec<(String, Duration)> {
-        let mut map: BTreeMap<&str, Duration> = BTreeMap::new();
-        for t in &self.timings {
-            *map.entry(&t.op).or_default() += t.duration;
+    /// The rows merged by `key` (e.g. `|t| &t.op`, `|t| &t.implementation`;
+    /// see [`LayerTiming::group_by`]), ordered by descending total time.
+    pub fn group_by(&self, key: impl Fn(&LayerTiming) -> &str) -> Profile {
+        let mut timings = LayerTiming::group_by(&self.timings, key);
+        timings.sort_by(|a, b| b.total_us.total_cmp(&a.total_us));
+        Profile {
+            timings,
+            total: self.total,
+            memory: self.memory,
         }
-        let mut rows: Vec<(String, Duration)> =
-            map.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-        rows.sort_by_key(|r| std::cmp::Reverse(r.1));
-        rows
     }
 
-    /// The `n` slowest layers, descending.
+    /// The `n` slowest rows, by descending total time.
     pub fn hottest(&self, n: usize) -> Vec<&LayerTiming> {
         let mut refs: Vec<&LayerTiming> = self.timings.iter().collect();
-        refs.sort_by_key(|t| std::cmp::Reverse(t.duration));
+        refs.sort_by(|a, b| b.total_us.total_cmp(&a.total_us));
         refs.truncate(n);
         refs
-    }
-
-    /// Total FLOPs across all layers.
-    pub fn total_flops(&self) -> u64 {
-        self.timings.iter().map(|t| t.flops).sum()
     }
 
     /// The profile in Chrome trace-event format (load the file at
@@ -140,57 +94,55 @@ impl Profile {
         self.timings
             .iter()
             .map(|t| {
-                let dur_us = t.duration.as_secs_f64() * 1e6;
                 let args = JsonValue::obj([
                     ("implementation", t.implementation.as_str().into()),
                     ("gflops", t.gflops().into()),
                 ]);
-                let event = chrome_event(&t.name, &t.op, ts_us, dur_us, 0, args);
-                ts_us += dur_us;
+                let event = chrome_event(&t.name, &t.op, ts_us, t.total_us, 0, args);
+                ts_us += t.total_us;
                 event
             })
             .collect()
     }
 
-    /// Renders a per-layer table (the CLI's `layers` view).
+    /// Renders the per-layer table: calls, total and self time, self time as
+    /// a share of the summed row time, and effective GFLOP/s.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<28} {:>10} {:<22} {:>12} {:>9}\n",
-            "layer", "op", "implementation", "time (us)", "GFLOP/s"
-        ));
+        let row_us = self
+            .timings
+            .iter()
+            .map(|t| t.total_us)
+            .sum::<f64>()
+            .max(1e-12);
+        let mut out = format!(
+            "{:<28} {:>10} {:<22} {:>6} {:>12} {:>12} {:>6} {:>9}\n",
+            "layer", "op", "implementation", "calls", "total (us)", "self (us)", "self%", "GFLOP/s"
+        );
         for t in &self.timings {
             let gf = t
                 .gflops()
                 .map(|g| format!("{g:.2}"))
                 .unwrap_or_else(|| "-".into());
             out.push_str(&format!(
-                "{:<28} {:>10} {:<22} {:>12.1} {:>9}\n",
+                "{:<28} {:>10} {:<22} {:>6} {:>12.1} {:>12.1} {:>5.1}% {:>9}\n",
                 truncate(&t.name, 28),
-                t.op,
+                truncate(&t.op, 10),
                 truncate(&t.implementation, 22),
-                t.duration.as_secs_f64() * 1e6,
+                t.count,
+                t.total_us,
+                t.self_us,
+                100.0 * t.self_us / row_us,
                 gf
             ));
         }
         out.push_str(&format!(
-            "total: {:.3} ms over {} layers, peak activation memory {}\n",
+            "total: {:.3} ms over {} rows, peak activation memory {}\n",
             self.total.as_secs_f64() * 1e3,
             self.timings.len(),
             orpheus_verify::dataflow::human_bytes(self.memory.peak_bytes)
         ));
         out
     }
-}
-
-/// Truncates `s` to at most `n` display characters, appending `…` when cut.
-///
-/// Cuts on a char boundary: slicing by byte offset panics on multi-byte
-/// UTF-8 (layer names imported from ONNX are arbitrary user strings).
-/// Delegates to the shared implementation in `orpheus-observe` so every
-/// report renderer truncates identically.
-fn truncate(s: &str, n: usize) -> String {
-    orpheus_observe::truncate(s, n)
 }
 
 #[cfg(test)]
@@ -202,7 +154,9 @@ mod tests {
             name: name.into(),
             op: op.into(),
             implementation: "x".into(),
-            duration: Duration::from_micros(micros),
+            count: 1,
+            total_us: micros as f64,
+            self_us: micros as f64,
             flops,
         }
     }
@@ -215,7 +169,7 @@ mod tests {
     }
 
     #[test]
-    fn by_op_aggregates_and_sorts() {
+    fn group_by_op_aggregates_and_sorts() {
         let p = Profile {
             timings: vec![
                 timing("c1", "Conv", 100, 0),
@@ -225,9 +179,11 @@ mod tests {
             total: Duration::from_micros(305),
             memory: MemoryStats::default(),
         };
-        let rows = p.by_op();
-        assert_eq!(rows[0].0, "Conv");
-        assert_eq!(rows[0].1, Duration::from_micros(300));
+        let rows = p.group_by(|t| &t.op).timings;
+        assert_eq!(rows[0].name, "Conv");
+        assert_eq!(rows[0].count, 2);
+        assert!((rows[0].total_us - 300.0).abs() < 1e-9);
+        assert_eq!(rows[1].name, "Activation");
     }
 
     #[test]
@@ -375,12 +331,38 @@ mod tests {
         assert_eq!(p.timings[1].flops, 2_000_000);
         assert_eq!(p.timings[0].implementation, "?");
         assert_eq!(p.total, Duration::from_micros(120));
-        assert_eq!(p.total_flops(), 2_000_000);
+        assert!((p.timings[1].gflops().unwrap() - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn from_trace_total_sums_every_run() {
+        use orpheus_observe::SpanRecord;
+        let span = |id, parent, name: &str, category, start_us: f64, dur_us| SpanRecord {
+            id,
+            parent,
+            name: name.into(),
+            category,
+            start_us,
+            dur_us,
+            tid: 0,
+            attrs: vec![],
+        };
+        let mut spans = Vec::new();
+        for (r, dur_us) in [100.0, 120.0, 110.0].into_iter().enumerate() {
+            let (id, start_us) = (10 * r as u64 + 1, 200.0 * r as f64);
+            spans.push(span(id, None, "run", "session", start_us, dur_us));
+            spans.push(span(id + 1, Some(id), "conv_0", "layer", start_us, 80.0));
+        }
+        let p = Profile::from_trace(&Trace { spans });
+        assert_eq!(p.total, Duration::from_micros(330));
+        assert_eq!(p.timings.len(), 1);
+        assert_eq!(p.timings[0].count, 3);
+        assert!((p.timings[0].total_us - 240.0).abs() < 1e-9);
     }
 
     #[test]
     fn trace_sorts_survive_nan_times() {
-        use orpheus_observe::{AttrValue, Attribution, SpanRecord};
+        use orpheus_observe::{AttrValue, SpanRecord};
         let layer = |id, start_us, dur_us| SpanRecord {
             id,
             parent: None,
@@ -401,9 +383,60 @@ mod tests {
         let events = trace.to_chrome_trace();
         assert_eq!(events.as_array().map(<[_]>::len), Some(3));
         assert_eq!(Profile::from_trace(&trace).timings.len(), 3);
-        let attribution = Attribution::from_trace(&trace, "layer");
-        assert_eq!(attribution.rows.len(), 3);
-        assert_eq!(attribution.by_algorithm().len(), 1);
+        let rows = LayerTiming::fold(&trace);
+        assert_eq!(rows.len(), 3);
+        assert_eq!(LayerTiming::group_by(&rows, |t| &t.implementation).len(), 1);
+    }
+
+    #[test]
+    fn from_trace_without_run_spans_totals_its_rows() {
+        use orpheus_observe::SpanRecord;
+        let layer = |id, start_us, dur_us| SpanRecord {
+            id,
+            parent: None,
+            name: format!("layer_{id}"),
+            category: "layer",
+            start_us,
+            dur_us,
+            tid: 0,
+            attrs: vec![],
+        };
+        let p = Profile::from_trace(&Trace {
+            spans: vec![layer(1, 0.0, 30.0), layer(2, 30.0, 20.0)],
+        });
+        assert_eq!(p.total, Duration::from_micros(50));
+    }
+
+    #[test]
+    fn render_shows_layer_and_algorithm_tables() {
+        use orpheus_observe::{AttrValue, SpanRecord};
+        let layer = |id, name: &str, start_us, dur_us, implementation: &str| SpanRecord {
+            id,
+            parent: None,
+            name: name.into(),
+            category: "layer",
+            start_us,
+            dur_us,
+            tid: 0,
+            attrs: vec![
+                ("op", AttrValue::Str("Conv".into())),
+                ("implementation", AttrValue::Str(implementation.into())),
+            ],
+        };
+        let p = Profile::from_trace(&Trace {
+            spans: vec![
+                layer(1, "conv_a", 0.0, 30.0, "winograd"),
+                layer(2, "conv_b", 30.0, 10.0, "direct"),
+                layer(3, "conv_c", 40.0, 25.0, "winograd"),
+            ],
+        });
+        let text = p.render();
+        assert!(text.contains("conv_a"));
+        assert!(text.contains("self%"));
+        let by_algorithm = p.group_by(|t| &t.implementation).render();
+        let first = by_algorithm.lines().nth(1).unwrap();
+        assert!(first.starts_with("winograd"), "{by_algorithm}");
+        assert!(by_algorithm.contains("direct"));
     }
 
     #[test]

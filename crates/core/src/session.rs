@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use orpheus_observe as observe;
+use orpheus_observe::{self as observe, LayerTiming};
 use orpheus_tensor::{Shape, Tensor};
 use orpheus_threads::ThreadPool;
 
@@ -24,7 +24,7 @@ use crate::error::EngineError;
 use crate::layer::Layer;
 use crate::lower::{Plan, PlanStep};
 use crate::plan::MemoryPlan;
-use crate::profile::{LayerTiming, Profile};
+use crate::profile::Profile;
 
 /// Steps with at most this many inputs borrow their input refs from a stack
 /// array; wider fan-in (absent from the model zoo) falls back to a `Vec`.
@@ -324,7 +324,8 @@ impl Session {
 
     /// Runs one inference, recording per-layer wall time and the run's
     /// memory statistics. One timing row per plan step, view moves
-    /// included, in execution order; the total covers the whole session run.
+    /// included, in execution order (`count` 1, self time = total time, as
+    /// nothing below a step is timed); the total covers the whole session run.
     /// Accepted inputs and errors are exactly [`Session::run`]'s.
     pub(crate) fn run_profiled(
         &mut self,
@@ -344,7 +345,9 @@ impl Session {
                 name: step.layer.name().to_string(),
                 op: step.layer.op_name().to_string(),
                 implementation: step.layer.implementation(),
-                duration,
+                count: 1,
+                total_us: duration.as_secs_f64() * 1e6,
+                self_us: duration.as_secs_f64() * 1e6,
                 flops: step.layer.flops(),
             })
             .collect();
@@ -600,7 +603,8 @@ impl Session {
     ) -> Result<(), EngineError> {
         if mp.view_move[step_idx] {
             // Pure view over a dying value: move the buffer, skip the
-            // layer entirely.
+            // layer entirely (its span still marks the step in traces).
+            let _layer_span = layer_span(step.layer.as_ref());
             let src = self.slots[step.inputs[0]].take().ok_or_else(|| {
                 EngineError::Execution(format!(
                     "layer {:?} reads slot {} before it is produced",
@@ -655,14 +659,7 @@ impl Session {
                 }
                 &heap
             };
-            let mut layer_span = observe::span(layer.name(), "layer");
-            // `implementation()` builds a String; skip the attrs entirely
-            // when the recorder is off so steady state stays alloc-free.
-            if observe::enabled() {
-                layer_span.attr("op", layer.op_name());
-                layer_span.attr("implementation", layer.implementation());
-                layer_span.attr("flops", layer.flops());
-            }
+            let mut layer_span = layer_span(layer);
             if let Err(primary) = layer.run_into(inputs, &mut out, &self.pool) {
                 // Graceful degradation: retry once on the reference
                 // implementation (into a re-zeroed buffer), surfacing the
@@ -713,6 +710,19 @@ impl Session {
         }
         Ok(())
     }
+}
+
+/// Opens the `"layer"` span of one plan step. The attrs go only on a live
+/// guard: `implementation()` builds a String, so with recording off the span
+/// costs one relaxed atomic load and steady state stays alloc-free.
+fn layer_span(layer: &dyn Layer) -> observe::SpanGuard {
+    let mut span = observe::span(layer.name(), "layer");
+    if span.id().is_some() {
+        span.attr("op", layer.op_name());
+        span.attr("implementation", layer.implementation());
+        span.attr("flops", layer.flops());
+    }
+    span
 }
 
 /// Wraps a per-input failure with the input's position in the batch, so a

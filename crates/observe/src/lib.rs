@@ -22,8 +22,9 @@
 //!   [`flight_snapshot`]): a fixed-size lock-free ring of recent notable
 //!   events (faults, fallbacks, loads) for post-mortem dumps, armed even
 //!   when tracing is off;
-//! * an **attribution fold** ([`Attribution`]) that collapses span trees
-//!   into self/total time per layer and per selection algorithm.
+//! * the **per-layer timing record** ([`LayerTiming`]) and its one fold,
+//!   [`LayerTiming::fold`], that collapses span trees into self/total time
+//!   per layer.
 //!
 //! # Examples
 //!
@@ -51,21 +52,21 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-mod attribution;
 mod flight;
 mod histogram;
 pub mod json;
+mod layer_timing;
 mod metrics;
 mod openmetrics;
 mod recorder;
 mod trace;
 
-pub use attribution::{Attribution, AttributionRow};
 pub use flight::{
     flight_capacity, flight_clear, flight_dropped, flight_record, flight_recorded, flight_render,
     flight_snapshot, FlightEvent,
 };
 pub use histogram::Histogram;
+pub use layer_timing::LayerTiming;
 pub use metrics::{
     counter_add, gauge_set, histogram_record, metrics_snapshot, reset_metrics, MetricsSnapshot,
 };
@@ -77,8 +78,8 @@ pub use trace::{chrome_event, Trace};
 
 /// Truncates `s` to at most `max` characters, ending with `…` when cut.
 ///
-/// UTF-8 safe (counts characters, not bytes). Shared by the attribution
-/// tables here and the CLI's report renderers.
+/// UTF-8 safe (counts characters, not bytes). Shared by every report
+/// renderer, so layer names imported from ONNX never split a character.
 pub fn truncate(s: &str, max: usize) -> String {
     if s.chars().count() <= max {
         return s.to_string();

@@ -153,11 +153,7 @@ fn profile_accounts_for_total_time() {
         .load(graph)
         .unwrap();
     let (_, profile) = network.run_profiled(&synthetic_image(1, 28)).unwrap();
-    let layer_sum: f64 = profile
-        .timings
-        .iter()
-        .map(|t| t.duration.as_secs_f64())
-        .sum();
+    let layer_sum: f64 = profile.timings.iter().map(|t| t.total_us / 1e6).sum();
     let total = profile.total.as_secs_f64();
     assert!(layer_sum <= total, "layer times exceed wall clock");
     assert!(
